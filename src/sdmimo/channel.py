@@ -1,4 +1,4 @@
-"""ULA geometry, multipath channel generation, and fine-grid propagation.
+"""ULA geometry, multipath channel generation, and symbol-rate propagation.
 
 The transmit array is a uniform linear array with sub-half-wavelength
 spacing.  Each user sees J paths with complex gains, departure angles,
@@ -7,20 +7,23 @@ pulse and samples at the symbol rate.
 
 Discretization
 --------------
-All continuous-time operations run on a fine grid with step
-``dt = 1/osf`` (sampling period normalized to 1).  Path delays are
-snapped to the fine grid, and convolution integrals are left-Riemann
-sums with weight `dt`.  The equivalent discrete-time taps
+The transmit pulse is a zero-order hold of the symbol-rate samples and
+the PAs are memoryless, so the received symbol-rate samples are an
+exact FIR of the symbol-rate PA output.  Its taps
 
-    ``h_{i,l} = A * sum_j alpha_{i,j} a(theta_{i,j}) (Pi (*) Omega)(l - tau_{i,j})``
+    ``h_{i,l} = sum_j alpha_{i,j} a(theta_{i,j}) (Pi (*) Omega)(l - tau_{i,j})``
 
-use the same quadrature, so propagating a linearly amplified frame
-through :func:`propagate` reproduces ``sum_l h_l^T x_{m-l}`` to near
-machine precision (the basis of the chain self-checks).
+are built by quadrature on a grid with step ``dt = 1/osf`` (sampling
+period normalized to 1): path delays are snapped to that grid, and
+``(Pi (*) Omega)`` is a left-Riemann sum with weight `dt`.  `osf` only
+sets this quadrature; the chain itself runs at the symbol rate.
 
-The PA gain A lives inside the taps, exactly as written above; the
-propagation path applies no extra gain (it is already inside the PA
-output frame).
+Two tap sets come from the same table.  :func:`propagate` applies the
+gain-free taps over every lag where ``(Pi (*) Omega)(l - tau) != 0``
+(negative lags included, when a delay is shorter than the filter's half
+span); the PA gain A is already inside the PA output frame.  The model
+taps ``taps`` hold lags ``0 .. l_taps-1`` times A, exactly as written
+above, and define the frequency channels used by the precoders.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ShapeMismatch
 from .ofdm import OfdmParams
@@ -72,11 +75,12 @@ class UlaGeometry:
             raise ValueError("spacing must satisfy 0 < d/lambda <= 1/2")
 
 
-def steering_vector(geom: UlaGeometry, theta: float) -> np.ndarray:
+def steering_vector(geom: UlaGeometry, theta) -> np.ndarray:
     """Array response at angle `theta` (radians), entry n = e^{-j(n-1) w},
-    w = 2 pi (d/lambda) sin(theta)."""
-    omega = 2.0 * np.pi * geom.d_over_lambda * math.sin(theta)
-    return np.exp(-1j * omega * np.arange(geom.n))
+    w = 2 pi (d/lambda) sin(theta).  An array of angles gives one response
+    per angle along a new last axis."""
+    omega = 2.0 * np.pi * geom.d_over_lambda * np.sin(theta)
+    return np.exp(-1j * np.multiply.outer(omega, np.arange(geom.n)))
 
 
 def rrc_impulse(t, rolloff: float) -> np.ndarray:
@@ -115,7 +119,7 @@ class RrcFilter:
     span: float = 5.0
 
     def sample(self, osf: int) -> Tuple[np.ndarray, int]:
-        """Fine-grid samples and the index corresponding to lag zero.
+        """Quadrature-grid samples and the index corresponding to lag zero.
 
         Samples sit at half-integer grid offsets, (i - half + 1/2)/osf,
         so that convolving a zero-order-hold signal against them is the
@@ -140,20 +144,13 @@ class DiracFilter:
 def pulse_filter_taps(rx_filter, osf: int) -> Tuple[np.ndarray, int]:
     """Rectangular transmit pulse convolved with the receive filter.
 
-    Returns the fine-grid array of ``(Pi (*) Omega)(c/osf)`` and the
-    index of lag c = 0.  The rectangular pulse is sampled left-closed on
-    [0, 1), matching the zero-order hold used to build the fine grid.
+    Returns the quadrature-grid array of ``(Pi (*) Omega)(c/osf)`` and
+    the index of lag c = 0.  The rectangular pulse is sampled
+    left-closed on [0, 1), matching the zero-order-hold transmit pulse.
     """
     omega, center = rx_filter.sample(osf)
     po = np.convolve(np.ones(osf), omega) / osf
     return po, center  # index i <-> lag c = i - center
-
-
-def _path_tap_value(po: np.ndarray, po_center: int, lag_fine: int) -> float:
-    idx = lag_fine + po_center
-    if idx < 0 or idx >= po.size:
-        return 0.0
-    return float(po[idx])
 
 
 @dataclass(frozen=True)
@@ -161,8 +158,11 @@ class ChannelRealization:
     """Multipath parameters plus the derived discrete-time/frequency channels.
 
     `alpha`, `theta` are (K, J); `tau_fine` holds delays as integer
-    multiples of the fine-grid step.  `taps` is (K, L, N) and `freq` is
-    (m_s, K, N) with ``freq[p] = sum_l taps[:, l, :] e^{-2j pi l p / M}``.
+    multiples of the quadrature step 1/osf.  `taps` is (K, L, N) and
+    `freq` is (m_s, K, N) with
+    ``freq[p] = sum_l taps[:, l, :] e^{-2j pi l p / M}``.
+    `prop_taps` (K, L_prop, N) are the gain-free full-support taps that
+    :func:`propagate` applies; entry l holds lag ``prop_lag0 + l``.
     """
 
     geom: UlaGeometry
@@ -174,6 +174,8 @@ class ChannelRealization:
     tau_fine: np.ndarray
     taps: np.ndarray
     freq: np.ndarray
+    prop_taps: np.ndarray
+    prop_lag0: int
 
     @property
     def n_users(self) -> int:
@@ -182,6 +184,13 @@ class ChannelRealization:
     @property
     def n_taps(self) -> int:
         return self.taps.shape[1]
+
+    @cached_property
+    def svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD ``(U, S, Vh)`` of every subcarrier's K x N channel
+        matrix, computed on first use and kept for the realization's
+        lifetime (the channel is fixed, so every precoder call shares it)."""
+        return np.linalg.svd(self.freq, full_matrices=False)
 
 
 def channel_from_paths(
@@ -197,7 +206,7 @@ def channel_from_paths(
     """Build the derived taps and frequency channels from explicit paths.
 
     `tau_ts` is in units of the sampling period; delays are snapped to
-    the fine grid (multiples of 1/osf).
+    the quadrature grid (multiples of 1/osf).
     """
     if rx_filter is None:
         rx_filter = RrcFilter()
@@ -207,25 +216,32 @@ def channel_from_paths(
     if not (alpha.shape == theta.shape == tau_fine.shape):
         raise ShapeMismatch("alpha, theta, tau must share the shape (K, J)")
 
-    k_users, j_paths = alpha.shape
-    po, po_center = pulse_filter_taps(rx_filter, ofdm.osf)
-    taps = np.zeros((k_users, l_taps, geom.n), dtype=complex)
-    for i in range(k_users):
-        for j in range(j_paths):
-            a_vec = alpha[i, j] * steering_vector(geom, theta[i, j])
-            for l in range(l_taps):
-                w = _path_tap_value(po, po_center, l * ofdm.osf - tau_fine[i, j])
-                if w != 0.0:
-                    taps[i, l] += w * a_vec
-    taps *= pa_gain
+    osf = ofdm.osf
+    po, po_center = pulse_filter_taps(rx_filter, osf)
+    # lag l of path (i, j) reads po[l*osf - tau + po_center]; its support
+    # is the lags where that index lies inside po
+    lag_min = int(np.min(-((po_center - tau_fine) // osf)))
+    lag_max = int(np.max((po.size - 1 - po_center + tau_fine) // osf))
+    lag0 = min(lag_min, 0)
+    lags = np.arange(lag0, max(lag_max, l_taps - 1) + 1)
+    idx = lags * osf - tau_fine[:, :, None] + po_center             # (K, J, lags)
+    inside = (idx >= 0) & (idx < po.size)
+    weight = np.where(inside, po[np.clip(idx, 0, po.size - 1)], 0.0)
+    steer = steering_vector(geom, theta)                             # (K, J, N)
+    table = np.einsum("kjl,kjn->kln", alpha[:, :, None] * weight, steer)
+    taps = pa_gain * table[:, -lag0:l_taps - lag0]
+    prop_taps = table[:, lag_min - lag0:lag_max - lag0 + 1]
 
-    p = np.arange(ofdm.m_s)
-    l = np.arange(l_taps)
-    twiddle = np.exp(-2j * np.pi * np.outer(l, p) / ofdm.m)  # (L, m_s)
-    freq = np.einsum("kln,lp->pkn", taps, twiddle)
+    # DFT over the lag axis at p/M; a length c*M FFT evaluated at every
+    # c-th bin covers l_taps > M without truncating
+    m = ofdm.m
+    n_fft = m * -(-l_taps // m)
+    spec = np.fft.fft(taps, n=n_fft, axis=1)[:, :n_fft // m * ofdm.m_s:n_fft // m]
+    freq = np.ascontiguousarray(spec.transpose(1, 0, 2))
     return ChannelRealization(
         geom=geom, ofdm=ofdm, rx_filter=rx_filter, pa_gain=pa_gain,
         alpha=alpha, theta=theta, tau_fine=tau_fine, taps=taps, freq=freq,
+        prop_taps=prop_taps, prop_lag0=lag_min,
     )
 
 
@@ -244,7 +260,7 @@ def draw_channel(
     """Draw a random multipath realization.
 
     Per user and path: gain ~ CN(0, 1/J), angle ~ U[-spread, +spread]
-    and delay ~ U[delay range] snapped to the fine grid.  Deterministic
+    and delay ~ U[delay range] snapped to the quadrature grid.  Deterministic
     given the generator state.
     """
     shape = (k_users, j_paths)
@@ -261,41 +277,35 @@ def propagate(
     sigma_v2: float = 0.0,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Propagate a fine-grid PA-output frame to the K users.
+    """Propagate a symbol-rate PA-output frame to the K users.
 
-    Forms each user's waveform as the delayed, steered superposition of
-    the antenna signals, applies the receive filter (fine-grid
-    convolution weighted by the grid step), samples at the symbol rate,
-    and adds i.i.d. CN(0, sigma_v2) noise per sample.
+    Applies the full-support FIR ``y_i[m] = sum_l prop_taps[i, l] . u[:, m - l]``
+    (the held frame's delayed, steered superposition after receive
+    filtering and symbol-rate sampling, with samples outside the frame
+    taken as zero) and adds i.i.d. CN(0, sigma_v2) noise per sample.
 
-    `u` is (N, n_fine) covering the CP-extended block; the return value
+    `u` is (N, m_cp + m) covering the CP-extended block; the return value
     is (K, m_cp + m), one row per user, starting at the first CP sample.
     """
     u = np.asarray(u, dtype=complex)
     ofdm = chan.ofdm
-    osf = ofdm.osf
-    n_fine = ofdm.n_fine
-    if u.shape != (chan.geom.n, n_fine):
-        raise ShapeMismatch(f"expected frame shape {(chan.geom.n, n_fine)}, got {u.shape}")
-
-    omega, center = chan.rx_filter.sample(osf)
-    max_shift = int(chan.tau_fine.max(initial=0))
-    if max_shift < 0:
+    n_samples = ofdm.m_cp + ofdm.m
+    if u.shape != (chan.geom.n, n_samples):
+        raise ShapeMismatch(f"expected frame shape {(chan.geom.n, n_samples)}, got {u.shape}")
+    if chan.tau_fine.min(initial=0) < 0:
         raise ValueError("negative delays are not supported")
-    if max_shift > ofdm.m_cp * osf:
+    if chan.tau_fine.max(initial=0) > ofdm.m_cp * ofdm.osf:
         raise ValueError("path delay exceeds the cyclic-prefix coverage")
 
-    k_users = chan.n_users
-    y_pre = np.zeros((k_users, n_fine + max_shift), dtype=complex)
-    for i in range(k_users):
-        for j in range(chan.alpha.shape[1]):
-            steered = chan.alpha[i, j] * (steering_vector(chan.geom, chan.theta[i, j]) @ u)
-            s = int(chan.tau_fine[i, j])
-            y_pre[i, s:s + n_fine] += steered
-
-    conv = fftconvolve(y_pre, omega[None, :], axes=1) / osf
-    # sample m (m = -m_cp .. m-1) sits at conv index center + (m + m_cp)*osf
-    y = conv[:, center:center + n_fine:osf].copy()
+    k_users, n_lags, n = chan.prop_taps.shape
+    per_lag = (chan.prop_taps.reshape(k_users * n_lags, n) @ u).reshape(k_users, n_lags, n_samples)
+    y = np.zeros((k_users, n_samples), dtype=complex)
+    for l in range(n_lags):
+        shift = chan.prop_lag0 + l
+        if shift >= 0:
+            y[:, shift:] += per_lag[:, l, :max(n_samples - shift, 0)]
+        else:
+            y[:, :shift] += per_lag[:, l, -shift:]
 
     if sigma_v2 > 0.0:
         if rng is None:
@@ -306,7 +316,7 @@ def propagate(
 
 
 def receive_filter_abs_integral(rx_filter, osf: int) -> float:
-    """Fine-grid quadrature of the receive filter's absolute integral."""
+    """Quadrature of the receive filter's absolute integral."""
     omega, _ = rx_filter.sample(osf)
     return float(np.sum(np.abs(omega)) / osf)
 
@@ -318,7 +328,7 @@ def psi_hat_bound(pa_gain: float, psi: float, rx_filter, osf: int) -> float:
 
 def hold_rx_power_factor(rx_filter, osf: int) -> float:
     """Power gain of transmit-hold plus receive filtering on sample-white
-    signals: the fine-grid quadrature of ``integral (Pi (*) Omega)^2``.
+    signals: the quadrature of ``integral (Pi (*) Omega)^2``.
 
     A memoryless PA driven by zero-order-hold samples emits distortion
     that is itself held per sampling period, so its post-filter power at

@@ -3,8 +3,13 @@ shaped-distortion angular spectra.
 
 The chain wires the package together per trial: draw a channel, draw
 QAM symbols, precode, push the time-domain block through the modulator
-and PAs on the fine grid, propagate to the users, demodulate, detect,
+and PAs at the symbol rate, propagate to the users, demodulate, detect,
 and tally Gray-coded bit errors.
+
+The PAs are memoryless and the transmit pulse is a zero-order hold, so
+running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
+gives exactly the held PA output; the channel's FIR taps carry the hold
+and receive filtering (see :mod:`sdmimo.channel`).
 
 Reproducibility: trial t draws everything from a generator seeded by
 ``SeedSequence((master_seed, t))``, so results are independent of
@@ -38,7 +43,6 @@ sigma_v^2 the per-sample time-domain variance actually injected.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -54,13 +58,12 @@ from .channel import (
     distortion_noise_power,
     draw_channel,
     propagate,
-    psi_hat_bound,
     psi_hat_calibrated,
     steering_vector,
 )
 from .config import ExperimentConfig
 from .errors import ConfigError, OverloadWarning
-from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft, sample_hold
+from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
 from .pa import PaModel, ShapingBudget, apply_pa, compute_r1db
 from .precoding import PrecodeResult, slp_precode, zf_precode
 from .qam import QamConstellation, detect, symbols_to_bits_errors
@@ -129,7 +132,7 @@ class _Context:
     geom: UlaGeometry
     rx_filter: RrcFilter
     const: QamConstellation
-    budget: ShapingBudget      # psi_hat holds the worst-case receive bound
+    budget: ShapingBudget      # PA input disk chi and its distortion psi
     bound: float               # amplitude budget handed to the precoder
 
 
@@ -140,8 +143,6 @@ def build_context(cfg: ExperimentConfig) -> _Context:
     geom = UlaGeometry(n=sys_.n, d_over_lambda=sys_.d_over_lambda)
     rx_filter = RrcFilter(rolloff=sys_.rrc_rolloff, span=sys_.rrc_span_ts)
     budget = ShapingBudget.from_pa(cfg.pa, cfg.chi_value)
-    budget = dataclasses.replace(
-        budget, psi_hat=psi_hat_bound(cfg.pa.gain, budget.psi, rx_filter, ofdm.osf))
 
     if chain.budget_kind == "headroom":
         bound = budget.chi - budget.psi
@@ -182,11 +183,10 @@ def _estimate_sigma_eta(ctx: _Context, chan: ChannelRealization,
     sigma_xi2 = np.zeros(chan.n_users)
     if ctx.chain.scheme != "none":
         zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
-        x_fine = sample_hold(ctx.ofdm, zf.x.with_cp)
         mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OverloadWarning)
-            _, q, _ = modulate(mod_cfg, x_fine)
+            _, q, _ = modulate(mod_cfg, zf.x.with_cp)
         n_tail = (1 if ctx.chain.scheme == "tsd1" else
                   2 if ctx.chain.scheme == "tsd2" else 0)
         shaped = q[:-n_tail] if n_tail else q
@@ -211,22 +211,23 @@ def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
 
 
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
-    """Fine-grid PA-array output for a precoded block, plus overload count."""
-    x_fine = sample_hold(ctx.ofdm, x_grid.with_cp)
+    """Symbol-rate PA-array output for a precoded block, plus the number
+    of modulator input samples over the no-overloading bound."""
+    x_cp = x_grid.with_cp
     pa = ctx.cfg.pa
     if ctx.chain.scheme != "none":
         mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, pa, ctx.budget)
-        n_over = count_overloads(mod_cfg, x_fine)
+        n_over = count_overloads(mod_cfg, x_cp)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OverloadWarning)
-            u, _, _ = modulate(mod_cfg, x_fine)
+            u, _, _ = modulate(mod_cfg, x_cp)
         return u, n_over
     linear = PaModel.ideal(pa.gain, pa.r_max)
     if ctx.chain.pa_mode == "ideal":
-        return apply_pa(linear, x_fine), 0
-    u = apply_pa(pa, x_fine)
+        return apply_pa(linear, x_cp), 0
+    u = apply_pa(pa, x_cp)
     if ctx.chain.pa_mode == "except_last":
-        u[-1] = apply_pa(linear, x_fine[-1])
+        u[-1] = apply_pa(linear, x_cp[-1])
     return u, 0
 
 
@@ -294,7 +295,11 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
 
 @dataclass
 class MetricRecord:
-    """One BER point: scheme/precoder labels, noise level, and tallies."""
+    """One BER point: scheme/precoder labels, noise level, and tallies.
+
+    `overloads` counts symbol-rate modulator input samples (over all
+    trials and blocks) whose amplitude exceeds the no-overloading bound.
+    """
 
     scheme: str
     precoder: str
@@ -331,7 +336,7 @@ def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
     z = scale * (rng.standard_normal((sys_.n, ctx.ofdm.m_s))
                  + 1j * rng.standard_normal((sys_.n, ctx.ofdm.m_s)))
     x_grid = idft_modulate(ctx.ofdm, z)
-    u = cfg.pa.gain * sample_hold(ctx.ofdm, x_grid.with_cp)
+    u = cfg.pa.gain * x_grid.with_cp
     y = propagate(chan, u, 0.0)
     r = receiver_dft(ctx.ofdm, y)
     model = ctx.ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)

@@ -9,9 +9,12 @@ demodulate round trip has gain ``M`` (``F_s^H F_s = M*I``).  That factor
 is not divided out anywhere in this module; downstream code absorbs it
 into the per-user scaling calibration.
 
-The sampling period is normalized to 1; the fine grid used for the PA
-chain holds each sample for ``osf`` grid points (zero-order hold), which
-preserves per-antenna maximum amplitudes exactly.
+The sampling period is normalized to 1 and the transmit pulse is a
+zero-order hold of each sample, which preserves per-antenna maximum
+amplitudes exactly.  The PA chain runs on the symbol-rate samples; the
+hold itself lives in the channel's FIR taps, whose quadrature grid has
+``osf`` points per sample.  :func:`sample_hold` materializes the held
+waveform on that grid for checks against the continuous-time model.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ __all__ = ["OfdmParams", "TimeGrid", "idft_modulate", "sample_hold", "receiver_d
 
 @dataclass(frozen=True)
 class OfdmParams:
-    """IDFT size `m`, active subcarriers `m_s`, CP length `m_cp`, oversampling `osf`."""
+    """IDFT size `m`, active subcarriers `m_s`, CP length `m_cp`, and `osf`,
+    the quadrature points per sample used to build the channel taps."""
 
     m: int = 512
     m_s: int = 300
@@ -39,11 +43,6 @@ class OfdmParams:
             raise ValueError("need m >= m_s >= 1")
         if self.m_cp < 0 or self.osf < 1:
             raise ValueError("need m_cp >= 0 and osf >= 1")
-
-    @property
-    def n_fine(self) -> int:
-        """Fine-grid length of one CP-extended block."""
-        return (self.m_cp + self.m) * self.osf
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def idft_modulate(params: OfdmParams, z) -> TimeGrid:
 
 
 def sample_hold(params: OfdmParams, x_cp) -> np.ndarray:
-    """Zero-order hold of CP-extended samples onto the fine grid.
+    """Zero-order hold of CP-extended samples onto the quadrature grid.
 
     Each of the ``m_cp + m`` samples is replicated `osf` times, covering
     t in [-T_cp, T) with grid step 1/osf.

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -225,17 +224,14 @@ def compute_r1db(model: PaModel, rel_tol: float = 1e-9) -> float:
 
 @dataclass(frozen=True)
 class ShapingBudget:
-    """Amplitude budget pair (chi, psi) plus the receive-filtered bound.
+    """Amplitude budget pair (chi, psi).
 
-    ``chi`` bounds the PA input amplitude, ``psi`` is the worst-case
-    relative distortion over that disk (see :func:`compute_psi`), and
-    ``psi_hat`` is the receive-side distortion bound filled in once the
-    receive filter is known (``gain * psi * integral |Omega|``).
+    ``chi`` bounds the PA input amplitude and ``psi`` is the worst-case
+    relative distortion over that disk (see :func:`compute_psi`).
     """
 
     chi: float
     psi: float
-    psi_hat: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.chi <= 0 or self.psi < 0:

@@ -68,12 +68,11 @@ def _zf_solutions(chan: ChannelRealization, symbols: np.ndarray) -> np.ndarray:
 
     Solved through the thin SVD of each K x N channel matrix rather than
     the normal equations, so the accuracy degrades with cond(H) instead
-    of its square."""
-    freq = chan.freq                        # (m_s, K, N)
-    m_s, k_users, _ = freq.shape
+    of its square.  The SVD is computed once per channel realization."""
+    m_s, k_users, _ = chan.freq.shape
     if symbols.shape != (k_users, m_s):
         raise ShapeMismatch(f"expected symbols of shape {(k_users, m_s)}, got {symbols.shape}")
-    u, sv, vh = np.linalg.svd(freq, full_matrices=False)      # (m_s,K,K),(m_s,K),(m_s,K,N)
+    u, sv, vh = chan.svd                    # (m_s,K,K),(m_s,K),(m_s,K,N)
     if np.any(sv[:, -1] ** 2 <= 1e-10 * sv[:, 0] ** 2):
         raise RankDeficient("channel Gram matrix is singular at some subcarrier")
     coef = (u.conj().transpose(0, 2, 1) @ symbols.T[:, :, None])[..., 0] / sv

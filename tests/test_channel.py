@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdmimo
 from sdmimo.channel import (
     DiracFilter,
     RrcFilter,
@@ -19,7 +24,9 @@ from sdmimo.channel import (
     steering_vector,
 )
 from sdmimo.errors import ShapeMismatch
-from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft, sample_hold
+from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft
+
+from fine_grid import fine_grid_propagate
 
 
 def test_steering_broadside_is_ones():
@@ -119,21 +126,21 @@ def test_propagate_zero_input():
     geom = UlaGeometry(n=4, d_over_lambda=0.125)
     ofdm = OfdmParams(m=32, m_s=20, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(1), geom, ofdm, 2, 4, 20, pa_gain=16.0)
-    y = propagate(chan, np.zeros((4, ofdm.n_fine), dtype=complex), 0.0)
+    y = propagate(chan, np.zeros((4, ofdm.m_cp + ofdm.m), dtype=complex), 0.0)
     assert y.shape == (2, 72)
     assert not y.any()
 
 
 def test_propagate_matches_tap_model():
-    # fine-grid chain equals sum_l h_l^T x_{m-l} when taps cover the support
+    # propagation (and the fine-grid oracle) equals sum_l h_l^T x_{m-l}
+    # when taps cover the support
     geom = UlaGeometry(n=8, d_over_lambda=0.125)
     ofdm = OfdmParams(m=64, m_s=40, m_cp=40, osf=7)
     rng = np.random.default_rng(5)
     chan = draw_channel(rng, geom, ofdm, 2, 4, 22, rx_filter=RrcFilter(), pa_gain=16.0)
     z = 0.01 * (rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
     x_cp = idft_modulate(ofdm, z).with_cp
-    u = 16.0 * sample_hold(ofdm, x_cp)
-    y = propagate(chan, u, 0.0)
+    u = 16.0 * x_cp
 
     y_model = np.zeros((2, ofdm.m), dtype=complex)
     for m in range(ofdm.m):
@@ -141,8 +148,47 @@ def test_propagate_matches_tap_model():
             idx = m - l + ofdm.m_cp
             if 0 <= idx < x_cp.shape[1]:
                 y_model[:, m] += chan.taps[:, l, :] @ x_cp[:, idx]
-    err = np.max(np.abs(y[:, ofdm.m_cp:] - y_model)) / np.max(np.abs(y_model))
-    assert err <= 1e-6
+    for y in (propagate(chan, u, 0.0), fine_grid_propagate(chan, u)):
+        err = np.max(np.abs(y[:, ofdm.m_cp:] - y_model)) / np.max(np.abs(y_model))
+        assert err <= 1e-6
+
+
+def test_propagate_matches_fine_grid_oracle():
+    # the symbol-rate FIR equals holding the frame on the quadrature grid,
+    # steering, delaying and filtering it there, over random channels:
+    # every osf in 1..8, delays below the RRC half-span (negative lags),
+    # the Dirac filter, and sizes down to one antenna, user and path
+    rng = np.random.default_rng(20261017)
+    worst = 0.0
+    for trial in range(240):
+        osf = trial % 8 + 1
+        n, k, j = (int(v) for v in rng.integers(1, 7, size=3))
+        m = int(rng.integers(1, 48))
+        m_cp = int(rng.integers(0, 16))
+        ofdm = OfdmParams(m=m, m_s=int(rng.integers(1, m + 1)), m_cp=m_cp, osf=osf)
+        if trial % 4 == 3:
+            rx_filter = DiracFilter()
+        else:
+            rx_filter = RrcFilter(rolloff=float(rng.uniform(0.05, 0.5)),
+                                  span=float(rng.integers(1, 6)))
+        geom = UlaGeometry(n=n, d_over_lambda=float(rng.uniform(0.05, 0.5)))
+        chan = draw_channel(rng, geom, ofdm, k, j, int(rng.integers(1, 30)),
+                            rx_filter=rx_filter, pa_gain=16.0,
+                            delay_range_ts=(0.0, float(m_cp)))
+        u = rng.standard_normal((n, m_cp + m)) + 1j * rng.standard_normal((n, m_cp + m))
+        y_ref = fine_grid_propagate(chan, u)
+        err = np.max(np.abs(propagate(chan, u) - y_ref)) / np.max(np.abs(y_ref))
+        worst = max(worst, float(err))
+    assert worst <= 1e-12
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # the FIR propagation needs no scipy.signal, whose import dominated start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(sdmimo.__file__).resolve().parents[1]))
+    code = "import sys, sdmimo; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_full_chain_frequency_consistency():
@@ -152,7 +198,7 @@ def test_full_chain_frequency_consistency():
     rng = np.random.default_rng(6)
     chan = draw_channel(rng, geom, ofdm, 2, 4, 22, rx_filter=RrcFilter(), pa_gain=16.0)
     z = 0.01 * (rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
-    u = 16.0 * sample_hold(ofdm, idft_modulate(ofdm, z).with_cp)
+    u = 16.0 * idft_modulate(ofdm, z).with_cp
     r = receiver_dft(ofdm, propagate(chan, u, 0.0))
     model = ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
     assert np.max(np.abs(r - model)) / np.max(np.abs(model)) <= 1e-6
@@ -163,7 +209,7 @@ def test_noise_statistics():
     ofdm = OfdmParams(m=256, m_s=100, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(2), geom, ofdm, 3, 4, 20, pa_gain=16.0)
     sigma_v2 = 0.25
-    y = propagate(chan, np.zeros((2, ofdm.n_fine), dtype=complex), sigma_v2,
+    y = propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), sigma_v2,
                   np.random.default_rng(3))
     power = float(np.mean(np.abs(y) ** 2))
     assert power == pytest.approx(sigma_v2, rel=0.1)
@@ -174,7 +220,7 @@ def test_propagate_requires_rng_with_noise():
     ofdm = OfdmParams(m=16, m_s=10, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(2), geom, ofdm, 1, 4, 20)
     with pytest.raises(ValueError):
-        propagate(chan, np.zeros((2, ofdm.n_fine), dtype=complex), 0.1)
+        propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), 0.1)
 
 
 def test_propagate_shape_check():
@@ -191,7 +237,7 @@ def test_delay_beyond_cp_rejected():
     chan = channel_from_paths(geom, ofdm, [[1.0]], [[0.0]], [[12.0]], 4,
                               DiracFilter(), 1.0)
     with pytest.raises(ValueError):
-        propagate(chan, np.zeros((2, ofdm.n_fine), dtype=complex), 0.0)
+        propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), 0.0)
 
 
 def test_tap_grid_convergence():

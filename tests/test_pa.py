@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdmimo.errors import NoCompressionPoint
+from sdmimo.ofdm import OfdmParams, sample_hold
 from sdmimo.pa import (
     PaModel,
     ShapingBudget,
@@ -143,3 +147,27 @@ def test_invalid_parameters_rejected():
         PaModel(kind="modified_rapp", gain=1.0, r_max=0.1, phi=-2.0, zeta=1.0, c=0.2)
     with pytest.raises(ValueError):
         PaModel(kind="sspa", gain=1.0, r_max=0.1)
+
+
+_PA_MODELS = (
+    PaModel.ideal(gain=16.0, r_max=0.1187),
+    PaModel.modified_rapp(gain=16.0, r_max=0.1187, phi=1.1, zeta=4.0, b=-345.0, c=0.17),
+    PaModel.twta(gain=16.0, r_max=0.1187),
+)
+
+# antenna frames reaching past saturation, zeros and tiny values included
+FRAMES = st.tuples(st.integers(1, 6), st.integers(1, 12)).flatmap(
+    lambda shape: arrays(np.complex128, shape, elements=st.complex_numbers(
+        max_magnitude=0.4, allow_nan=False, allow_infinity=False)))
+
+
+@pytest.mark.parametrize("model", _PA_MODELS, ids=lambda m: m.kind)
+@settings(max_examples=150, deadline=None)
+@given(x=FRAMES, osf=st.integers(1, 8))
+def test_pa_commutes_with_hold(model, x, osf):
+    # memoryless PA: running it on the symbol-rate samples and holding the
+    # result is bit-identical to running it on the held samples
+    params = OfdmParams(m=x.shape[1], m_s=1, m_cp=0, osf=osf)
+    held_first = apply_pa(model, sample_hold(params, x))
+    pa_first = sample_hold(params, apply_pa(model, x))
+    assert held_first.tobytes() == pa_first.tobytes()

@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sdmimo.errors import OverloadWarning, ShapeMismatch
-from sdmimo.pa import ShapingBudget
+from sdmimo.ofdm import OfdmParams, sample_hold
+from sdmimo.pa import PaModel, ShapingBudget
 from sdmimo.sigma_delta import (
     ModulatorConfig,
     _run_first_order,
@@ -244,3 +249,29 @@ def test_measured_spectrum_tracks_sin2_profile(rapp_pa):
     # normalize both curves by their last point and compare shapes
     shape_err = np.abs(measured / measured[-1] - profile / profile[-1])
     assert shape_err.max() <= 0.2
+
+
+_RAPP = PaModel.modified_rapp(gain=16.0, r_max=0.1187, phi=1.1, zeta=4.0, b=-345.0, c=0.17)
+_RAPP_BUDGET = ShapingBudget.from_pa(_RAPP, _RAPP.r_max)
+
+# modulator frames with at least 3 antennas (the tsd2 minimum), with
+# amplitudes on both sides of the no-overloading bounds
+FRAMES = st.tuples(st.integers(3, 8), st.integers(1, 10)).flatmap(
+    lambda shape: arrays(np.complex128, shape, elements=st.complex_numbers(
+        max_magnitude=0.2, allow_nan=False, allow_infinity=False)))
+
+
+@pytest.mark.parametrize("scheme", ("sd1", "tsd1", "sd2", "tsd2"))
+@settings(max_examples=100, deadline=None)
+@given(x=FRAMES, osf=st.integers(1, 8))
+def test_modulate_commutes_with_hold(scheme, x, osf):
+    # the loop is memoryless along time: modulating the held frame is
+    # bit-identical to holding the symbol-rate loop's outputs
+    cfg = ModulatorConfig.from_scheme(scheme, _RAPP, _RAPP_BUDGET)
+    params = OfdmParams(m=x.shape[1], m_s=1, m_cp=0, osf=osf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverloadWarning)
+        held_first = modulate(cfg, sample_hold(params, x))
+        loop_first = modulate(cfg, x)
+    for a, b in zip(held_first, loop_first):
+        assert a.tobytes() == sample_hold(params, b).tobytes()
