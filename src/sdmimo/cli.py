@@ -22,7 +22,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -85,10 +85,11 @@ def cmd_pa_curves(cfg: ExperimentConfig, out_dir: Path, n_points: int) -> List[s
     return [path.name]
 
 
-def cmd_ber(cfg: ExperimentConfig, out_dir: Path, workers: int) -> List[str]:
+def cmd_ber(cfg: ExperimentConfig, out_dir: Path, workers: int) -> Tuple[List[str], int]:
+    """Write ber.csv; returns the output names and the failed-trial count."""
     records = run_ber(cfg, workers=workers)
     path = write_ber_csv(out_dir / "ber.csv", records)
-    return [path.name]
+    return [path.name], records[0].failed_trials
 
 
 def cmd_scatter(cfg: ExperimentConfig, out_dir: Path) -> List[str]:
@@ -157,18 +158,19 @@ def cmd_dispatch(argv: Optional[List[str]] = None) -> int:
 
     out_dir = Path(args.out)
     started = _utcnow()
+    failed_trials = 0
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pa-curves":
             outputs = cmd_pa_curves(cfg, out_dir, args.points)
         elif args.command == "ber":
-            outputs = cmd_ber(cfg, out_dir, args.threads)
+            outputs, failed_trials = cmd_ber(cfg, out_dir, args.threads)
         elif args.command == "scatter":
             outputs = cmd_scatter(cfg, out_dir)
         else:
             outputs = cmd_shaping_spectrum(cfg, out_dir)
         manifest = write_manifest(out_dir / "manifest.json", cfg, outputs,
-                                  started, _utcnow())
+                                  started, _utcnow(), failed_trials)
         for name in outputs + [manifest.name]:
             print(out_dir / name)
     except ConfigError as exc:

@@ -197,6 +197,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run: trials and blocks_per_trial must be >= 1")
     if cfg.chi_value <= 0:
         raise ConfigError("chi must be positive")
+    pc = cfg.precoder
+    if pc.admm_max_iter < 1 or pc.apg_max_iter < 1:
+        raise ConfigError("precoder: admm_max_iter and apg_max_iter must be >= 1")
+    for key in ("ftol", "xtol", "apg_tol"):
+        if not getattr(pc, key) > 0:
+            raise ConfigError(f"precoder: {key} must be positive")
+    if pc.rho is not None and not pc.rho > 0:
+        raise ConfigError("precoder: rho must be positive when given")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -169,20 +169,19 @@ def _draw_trial_channel(ctx: _Context, rng: np.random.Generator) -> ChannelReali
 
 
 def _estimate_sigma_eta(ctx: _Context, chan: ChannelRealization,
-                        symbols: np.ndarray, sigma_v2: float) -> np.ndarray:
+                        zf: PrecodeResult, sigma_v2: float) -> np.ndarray:
     """Per-user effective noise std for the symbol-level design, in the
     units of the normalized decision statistic r / M.
 
     The distortion part uses the closed-form angular structure with the
     per-antenna distortion second moment measured by running the
-    modulator on the zero-forcing block (the same drive statistics the
-    final signal will have); the thermal and distortion variances are
+    modulator on the zero-forcing block `zf` (the same drive statistics
+    the final signal will have); the thermal and distortion variances are
     divided by the DFT round-trip gain M so the design margins match the
     detector's actual operating point.
     """
     sigma_xi2 = np.zeros(chan.n_users)
     if ctx.chain.scheme != "none":
-        zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
         mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", OverloadWarning)
@@ -201,12 +200,13 @@ def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
              sigma_v2: float) -> PrecodeResult:
     if ctx.chain.family == "zf":
         return zf_precode(chan, symbols, ctx.bound, variant=ctx.chain.zf_variant)
-    sigma_eta = _estimate_sigma_eta(ctx, chan, symbols, sigma_v2)
+    zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
+    sigma_eta = _estimate_sigma_eta(ctx, chan, zf, sigma_v2)
     pc = ctx.cfg.precoder
     return slp_precode(
         chan, symbols, ctx.bound, sigma_eta,
         rho=pc.rho, admm_max_iter=pc.admm_max_iter, apg_max_iter=pc.apg_max_iter,
-        ftol=pc.ftol, xtol=pc.xtol, apg_tol=pc.apg_tol, d=ctx.const.d,
+        ftol=pc.ftol, xtol=pc.xtol, apg_tol=pc.apg_tol, d=ctx.const.d, start=zf,
     )
 
 
@@ -240,14 +240,16 @@ def _detect_errors(ctx: _Context, r: np.ndarray, beta: np.ndarray,
 
 @dataclass
 class _TrialTally:
+    """One trial's counts; the per-SNR arrays have one entry per noise point."""
+
     errors: np.ndarray
     bits: np.ndarray
+    solves: np.ndarray
+    solver_converged: np.ndarray
+    solver_admm_iters: np.ndarray
     beta_sum: float = 0.0
     beta_count: int = 0
     overloads: int = 0
-    solves: int = 0
-    solver_converged: int = 0
-    solver_admm_iters: float = 0.0
 
 
 def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
@@ -257,7 +259,10 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
     n_snr = len(cfg.sigma_v2)
     bits_per_block = 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s
     tally = _TrialTally(errors=np.zeros(n_snr, dtype=np.int64),
-                        bits=np.zeros(n_snr, dtype=np.int64))
+                        bits=np.zeros(n_snr, dtype=np.int64),
+                        solves=np.zeros(n_snr, dtype=np.int64),
+                        solver_converged=np.zeros(n_snr, dtype=np.int64),
+                        solver_admm_iters=np.zeros(n_snr))
 
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
@@ -287,9 +292,9 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
                 tally.beta_sum += float(result.beta.mean())
                 tally.beta_count += 1
                 tally.overloads += n_over
-                tally.solves += 1
-                tally.solver_converged += int(result.diagnostics.get("converged", 0.0))
-                tally.solver_admm_iters += result.diagnostics.get("admm_iterations", 0.0)
+                tally.solves[si] += 1
+                tally.solver_converged[si] += int(result.diagnostics.get("converged", 0.0))
+                tally.solver_admm_iters[si] += result.diagnostics.get("admm_iterations", 0.0)
     return tally
 
 
@@ -299,6 +304,10 @@ class MetricRecord:
 
     `overloads` counts symbol-rate modulator input samples (over all
     trials and blocks) whose amplitude exceeds the no-overloading bound.
+    The solver columns summarize the symbol-level solves at this noise
+    point only (NaN for zero-forcing).  `failed_trials` is the number of
+    trials of the whole run that raised and were excluded from every
+    tally (the same on every record of a run).
     """
 
     scheme: str
@@ -312,6 +321,7 @@ class MetricRecord:
     overloads: int
     solver_converged_frac: float
     solver_mean_admm_iters: float
+    failed_trials: int
 
 
 def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
@@ -389,7 +399,7 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
         bits = int(sum(t.bits[si] for t in good))
         errors = int(sum(t.errors[si] for t in good))
         beta_count = sum(t.beta_count for t in good)
-        solves = sum(t.solves for t in good)
+        solves = int(sum(t.solves[si] for t in good))
         records.append(MetricRecord(
             scheme=ctx.chain.scheme,
             precoder=cfg.precoder.name,
@@ -400,8 +410,11 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
             errors=errors,
             mean_beta=sum(t.beta_sum for t in good) / beta_count if beta_count else math.nan,
             overloads=int(sum(t.overloads for t in good)),
-            solver_converged_frac=(sum(t.solver_converged for t in good) / solves) if solves else math.nan,
-            solver_mean_admm_iters=(sum(t.solver_admm_iters for t in good) / solves) if solves else math.nan,
+            solver_converged_frac=(int(sum(t.solver_converged[si] for t in good)) / solves
+                                   if solves else math.nan),
+            solver_mean_admm_iters=(float(sum(t.solver_admm_iters[si] for t in good)) / solves
+                                    if solves else math.nan),
+            failed_trials=failures,
         ))
     return records
 

@@ -175,7 +175,13 @@ def slp_objective_and_grad(
     ``F(Z + dZ) ~= F(Z) + Re tr(G^H dZ)``, i.e. real and imaginary parts
     of G are the partial derivatives w.r.t. the real and imaginary parts
     of Z.  Returns ``(F, grad_beta, grad_Z)``; the gradients are None
-    when `need_grad` is false.
+    when `need_grad` is false, and then no Gaussian densities are
+    evaluated.
+
+    The I and Q components go through one `dp_components` call on
+    stacked ``(2, K, m_s)`` arrays.  Their sums are still taken per
+    component, I then Q, starting from zero, so F and the gradients
+    round exactly as a per-component evaluation would.
     """
     symbols = np.asarray(symbols, dtype=complex)
     beta = np.asarray(beta, dtype=float)
@@ -183,30 +189,24 @@ def slp_objective_and_grad(
     if d is None:
         d = int(round((np.abs(symbols.real).max() + 1) / 2))
     v = _received_grid(chan, np.asarray(z, dtype=complex))
-    beta_col = beta[:, None]
+    s_iq = np.stack((symbols.real, symbols.imag))
     sig_col = sigma_eta[:, None]
 
-    rt2 = math.sqrt(2.0)
-    f_total = 0.0
-    grad_beta = np.zeros_like(beta) if need_grad else None
-    coef = np.zeros(v.shape, dtype=complex) if need_grad else None
+    dp, phi_hi, phi_lo = dp_components(
+        s_iq, np.stack((v.real, v.imag)), beta[:, None], sig_col, d, need_grad=need_grad
+    )
+    dp_safe = np.maximum(dp, _DP_FLOOR)
+    logdp = np.log(dp_safe)
+    f_total = min(0.0 - float(logdp[0].sum()) - float(logdp[1].sum()), _OBJECTIVE_CAP)
+    if not need_grad:
+        return f_total, None, None
 
-    for comp, (s_ax, v_ax) in enumerate(
-        ((symbols.real, v.real), (symbols.imag, v.imag))
-    ):
-        dp, phi_hi, phi_lo = dp_components(s_ax, v_ax, beta_col, sig_col, d)
-        dp_safe = np.maximum(dp, _DP_FLOOR)
-        f_total -= float(np.log(dp_safe).sum())
-        if need_grad:
-            scale = rt2 / (sig_col * dp_safe)
-            g_v = scale * (phi_hi - phi_lo)
-            grad_beta += -(scale * (phi_hi * (1.0 + s_ax) - phi_lo * (s_ax - 1.0))).sum(axis=1)
-            coef += g_v if comp == 0 else 1j * g_v
-
-    f_total = min(f_total, _OBJECTIVE_CAP)
-    grad_z = None
-    if need_grad:
-        grad_z = np.einsum("pkn,kp->np", chan.freq.conj(), coef)
+    scale = math.sqrt(2.0) / (sig_col * dp_safe)
+    g_v = scale * (phi_hi - phi_lo)
+    g_beta = (scale * (phi_hi * (1.0 + s_iq) - phi_lo * (s_iq - 1.0))).sum(axis=2)
+    grad_beta = 0.0 - g_beta[0] - g_beta[1]
+    coef = 0.0 + g_v[0] + 1j * g_v[1]
+    grad_z = np.einsum("pkn,kp->np", chan.freq.conj(), coef)
     return f_total, grad_beta, grad_z
 
 
@@ -238,9 +238,11 @@ def _apg_solve(
     step 1.0, halves, and re-expands by 2 per iteration; a step is
     accepted when the smooth part passes its quadratic majorization
     test (sufficient-decrease slack 1e-4).  Stops when the squared
-    iterate step drops below `tol` or after `max_iter` iterations.
-    Returns the iterate, the last accepted step, and the iteration
-    count.
+    iterate step drops below `tol` or after `max_iter` iterations
+    (at least one).  Returns ``(beta, Z, step, iterations, F)``: the
+    iterate, the last accepted step, the iteration count, and the smooth
+    part F at the returned iterate, which is the last accepted
+    line-search value (it was evaluated at exactly that point).
     """
     m = chan.ofdm.m
     m_s = chan.ofdm.m_s
@@ -289,7 +291,7 @@ def _apg_solve(
         )
         if step2 <= tol:
             break
-    return beta, z, gamma, iters
+    return beta, z, gamma, iters, f_new
 
 
 def slp_precode(
@@ -304,6 +306,7 @@ def slp_precode(
     xtol: float = 1e-3,
     apg_tol: float = 1e-6,
     d: Optional[int] = None,
+    start: Optional[PrecodeResult] = None,
 ) -> PrecodeResult:
     """Symbol-level precoding by ADMM splitting.
 
@@ -322,20 +325,27 @@ def slp_precode(
     detection terms) for the dual updates to equilibrate within the
     round budget, and it must not fall below the level at which the
     absolute residual tolerance stays enforceable.
+
+    `start` is that zero-forcing point, ``zf_precode(chan, symbols,
+    budget, "sigma-delta")``, for a caller that has already computed it;
+    when None it is computed here.
     """
     symbols = np.asarray(symbols, dtype=complex)
     sigma_eta = np.asarray(sigma_eta, dtype=float)
     if np.any(sigma_eta <= 0):
         raise ValueError("sigma_eta must be positive for every user")
+    if apg_max_iter < 1:
+        raise ValueError("apg_max_iter must be >= 1")
     if d is None:
         d = int(round((np.abs(symbols.real).max() + 1) / 2))
     if rho is None:
         rho = max(100.0, 0.2 * symbols.shape[0] * chan.ofdm.m_s)
     m = chan.ofdm.m
 
-    init = zf_precode(chan, symbols, budget, variant="sigma-delta")
-    beta = init.beta.copy()
-    z = init.z.copy()
+    if start is None:
+        start = zf_precode(chan, symbols, budget, variant="sigma-delta")
+    beta = start.beta.copy()
+    z = start.z.copy()
     lam = np.zeros((chan.geom.n, m), dtype=complex)
 
     f_prev, _, _ = slp_objective_and_grad(beta, z, chan, symbols, sigma_eta, d=d, need_grad=False)
@@ -346,12 +356,13 @@ def slp_precode(
     converged = False
     f_cur = f_prev
     resid2 = math.inf
+    z_time = _z_to_time(z, m)
 
     for _ in range(admm_max_iter):
         rounds += 1
-        x_block = project_amplitude(_z_to_time(z, m) - lam / rho, budget)
+        x_block = project_amplitude(z_time - lam / rho, budget)
         w_target = x_block + lam / rho
-        beta, z, gamma, n_apg = _apg_solve(
+        beta, z, gamma, n_apg, f_cur = _apg_solve(
             chan, symbols, sigma_eta, d, beta, z, w_target, rho,
             apg_max_iter, apg_tol, gamma,
         )
@@ -359,14 +370,13 @@ def slp_precode(
         z_time = _z_to_time(z, m)
         lam = lam + rho * (x_block - z_time)
         resid2 = float(np.linalg.norm(x_block - z_time) ** 2)
-        f_cur, _, _ = slp_objective_and_grad(beta, z, chan, symbols, sigma_eta, d=d, need_grad=False)
         f_best = min(f_best, f_cur)
         if abs(f_cur - f_prev) <= ftol * abs(f_prev) and resid2 <= xtol:
             converged = True
             break
         f_prev = f_cur
 
-    x_final = project_amplitude(_z_to_time(z, m), budget)
+    x_final = project_amplitude(z_time, budget)
     diag = {
         "admm_iterations": float(rounds),
         "apg_iterations": float(apg_total),

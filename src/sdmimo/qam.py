@@ -111,7 +111,7 @@ def _phi_pdf(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
 
 
-def dp_components(s_axis, v_axis, beta, sigma_eta, d):
+def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
     """Vectorized per-component DP with the pieces needed for gradients.
 
     Parameters are broadcastable arrays: `s_axis` the true levels (odd
@@ -119,26 +119,28 @@ def dp_components(s_axis, v_axis, beta, sigma_eta, d):
     `sigma_eta` per-user columns.  Returns ``(dp, phi_hi, phi_lo)`` where
     `phi_hi`/`phi_lo` are the Gaussian densities at the upper/lower
     margin-normalized offsets (zero where the corresponding branch has
-    no finite threshold).
+    no finite threshold); both are None when `need_grad` is false.
+
+    The edge levels get an infinite threshold (+inf above the top level,
+    -inf below the bottom one), so every entry is the interval
+    probability ``Phi(ta) - Phi(tc)``.  It is taken in the survival form
+    ``Phi(-tc) - Phi(-ta)`` when ``ta + tc > 0``, where both arguments are
+    high and the direct difference would cancel.  This costs two `ndtr`
+    calls per entry and gives the same values as evaluating each level's
+    branch on its own (a zero DP may come out as -0.0): negation is
+    exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x`` in IEEE
+    arithmetic.
     """
     s = np.asarray(s_axis, dtype=float)
     v = np.asarray(v_axis, dtype=float)
     rt2 = np.sqrt(2.0)
-    a = beta * (1.0 + s) - v
-    c = beta * (s - 1.0) - v
-    ta = rt2 * a / sigma_eta
-    tc = rt2 * c / sigma_eta
-    top = s >= 2 * d - 1
-    bottom = s <= -(2 * d - 1)
-    interior = ~(top | bottom)
-
-    # stable difference: use the survival form when both arguments are high
-    diff = np.where(ta + tc > 0, ndtr(-tc) - ndtr(-ta), ndtr(ta) - ndtr(tc))
-    dp = np.where(interior, diff, np.where(top, ndtr(-tc), ndtr(ta)))
-
-    phi_hi = np.where(top, 0.0, _phi_pdf(ta))
-    phi_lo = np.where(bottom, 0.0, _phi_pdf(tc))
-    return dp, phi_hi, phi_lo
+    ta = np.where(s >= 2 * d - 1, np.inf, rt2 * (beta * (1.0 + s) - v) / sigma_eta)
+    tc = np.where(s <= -(2 * d - 1), -np.inf, rt2 * (beta * (s - 1.0) - v) / sigma_eta)
+    sgn = np.where(ta + tc > 0, -1.0, 1.0)
+    dp = sgn * (ndtr(sgn * ta) - ndtr(sgn * tc))
+    if not need_grad:
+        return dp, None, None
+    return dp, _phi_pdf(ta), _phi_pdf(tc)
 
 
 # bit counts for one byte, used to tally Gray-coded bit errors

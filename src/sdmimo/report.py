@@ -29,11 +29,12 @@ def write_ber_csv(path, records: List[MetricRecord]) -> Path:
         w = csv.writer(fh)
         w.writerow(["scheme", "precoder", "snr_db", "sigma_v2", "ber", "bits", "errors",
                     "mean_beta", "overloads", "solver_converged_frac",
-                    "solver_mean_admm_iters"])
+                    "solver_mean_admm_iters", "failed_trials"])
         for r in records:
             w.writerow([r.scheme, r.precoder, _fmt(r.snr_db), _fmt(r.sigma_v2),
                         _fmt(r.ber), r.bits, r.errors, _fmt(r.mean_beta), r.overloads,
-                        _fmt(r.solver_converged_frac), _fmt(r.solver_mean_admm_iters)])
+                        _fmt(r.solver_converged_frac), _fmt(r.solver_mean_admm_iters),
+                        r.failed_trials])
     return path
 
 

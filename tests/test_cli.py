@@ -64,6 +64,27 @@ def test_ber_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert tiny_config.read_text()
 
 
+def test_failed_trials_reach_manifest_and_csv(tiny_config, tmp_path, monkeypatch):
+    import sdmimo.harness as hz
+
+    real = hz._run_trial
+
+    def flaky(ctx, trial):
+        if trial == 1:
+            raise RuntimeError("synthetic failure")
+        return real(ctx, trial)
+
+    monkeypatch.setattr(hz, "_run_trial", flaky)
+    out = tmp_path / "results"
+    with pytest.warns(UserWarning, match="failed"):
+        code = cmd_dispatch(["ber", "--config", str(tiny_config), "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_trials"] == 1
+    rows = list(csv.DictReader((out / "ber.csv").open()))
+    assert [r["failed_trials"] for r in rows] == ["1", "1"]
+
+
 def test_seed_override_changes_and_reproduces(tiny_config, tmp_path):
     outs = []
     for name, seed in (("a", "123"), ("b", "123"), ("c", "77")):

@@ -81,6 +81,27 @@ def test_bad_precoder_and_scheme_names():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("admm_max_iter", 0), ("apg_max_iter", 0), ("apg_max_iter", -3),
+    ("ftol", 0.0), ("xtol", -1e-3), ("apg_tol", 0.0), ("ftol", float("nan")),
+    ("rho", 0.0), ("rho", -5.0),
+])
+def test_bad_solver_settings_rejected(key, value):
+    doc = _minimal()
+    doc["precoder"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(doc)
+
+
+def test_solver_settings_at_their_limits_accepted():
+    doc = _minimal()
+    doc["precoder"].update({"admm_max_iter": 1, "apg_max_iter": 1, "ftol": 1e-12,
+                            "xtol": 1e-12, "apg_tol": 1e-12, "rho": 1e-9})
+    assert config_from_dict(doc).precoder.apg_max_iter == 1
+    doc["precoder"]["rho"] = None
+    assert config_from_dict(doc).precoder.rho is None
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")

@@ -127,6 +127,22 @@ def test_slp_runs_and_reports_diagnostics():
     assert 0.0 <= records[0].solver_converged_frac <= 1.0
 
 
+def test_slp_solver_stats_are_per_snr():
+    # with one block per trial both noise points solve on the same channel
+    # and symbols, so each record must match the single-SNR run at its point
+    # (the noise draws of the first point do not reach the second's solve)
+    snrs = [10.0, 40.0]
+    doc = _tiny_doc("slp-tsd")
+    doc["noise"] = {"inv_sigma_v2_db": snrs}
+    both = run_ber(config_from_dict(doc))
+    for rec, snr in zip(both, snrs):
+        doc["noise"] = {"inv_sigma_v2_db": [snr]}
+        (alone,) = run_ber(config_from_dict(doc))
+        assert rec.solver_converged_frac == alone.solver_converged_frac
+        assert rec.solver_mean_admm_iters == alone.solver_mean_admm_iters
+    assert both[0].solver_mean_admm_iters != both[1].solver_mean_admm_iters
+
+
 def test_scatter_ideal_chain_hits_constellation():
     doc = _tiny_doc("zf-ref", blocks_per_trial=4)
     res = run_scatter(config_from_dict(doc))
@@ -183,3 +199,4 @@ def test_failed_trials_are_excluded_with_warning(monkeypatch):
     with pytest.warns(UserWarning, match="failed"):
         records = run_ber(cfg)
     assert records[0].bits > 0
+    assert [r.failed_trials for r in records] == [1, 1]

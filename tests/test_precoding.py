@@ -235,3 +235,32 @@ def test_slp_converges_within_iteration_caps():
         ok += int(res.diagnostics["converged"])
         assert res.diagnostics["admm_iterations"] <= 30
     assert ok >= 9
+
+
+@pytest.mark.parametrize("seed,caps", [(21, {}), (22, {"apg_max_iter": 1}),
+                                       (23, {"admm_max_iter": 1}),
+                                       (24, {"apg_max_iter": 3, "admm_max_iter": 4})])
+def test_slp_reported_objective_is_that_of_returned_iterate(seed, caps):
+    # the objective comes from the solver's last accepted line search, not
+    # from a fresh evaluation; it must still equal one exactly
+    _, chan, s, sigma = _slp_setup(seed, n=16, k=4, m=64, m_s=40)
+    res = slp_precode(chan, s, 0.0861, sigma, d=2, **caps)
+    assert res.diagnostics["objective"] == slp_objective(res.beta, res.z, chan, s, sigma, d=2)
+
+
+def test_slp_given_start_point_changes_nothing():
+    _, chan, s, sigma = _slp_setup(25, n=16, k=4, m=64, m_s=40)
+    own = slp_precode(chan, s, 0.0861, sigma, d=2)
+    zf = zf_precode(chan, s, 0.0861, variant="sigma-delta")
+    given_start = slp_precode(chan, s, 0.0861, sigma, d=2, start=zf)
+    assert given_start.diagnostics == own.diagnostics
+    assert np.array_equal(given_start.z, own.z)
+    assert np.array_equal(given_start.beta, own.beta)
+    # the solver copies the start point; the caller's result stays intact
+    assert np.array_equal(zf.z, zf_precode(chan, s, 0.0861, variant="sigma-delta").z)
+
+
+def test_slp_rejects_empty_inner_loop():
+    _, chan, s, sigma = _slp_setup(26)
+    with pytest.raises(ValueError, match="apg_max_iter"):
+        slp_precode(chan, s, 0.0861, sigma, d=2, apg_max_iter=0)

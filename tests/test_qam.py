@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from dp_oracle import dp_components_oracle
 from sdmimo.qam import (
     QamConstellation,
     detect,
@@ -134,6 +137,42 @@ def test_dp_components_stable_for_large_margins():
     dp, _, _ = dp_components(np.array([1.0]), np.array([200.0]),
                              np.array([1.0]), np.array([1.0]), 2)
     assert 0.0 <= dp[0] < 1e-300
+
+
+# one DP entry: level index (mapped onto the 2d levels), beta, sigma_eta,
+# and the received component's offset from beta*s in units of sigma_eta;
+# beta 0 and powers of two with offset 0 put ta + tc at exactly 0
+_DP_ENTRIES = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.one_of(st.sampled_from([0.0, 2.0**-7, 0.5, 1.0]),
+                  st.floats(1e-6, 10.0, allow_nan=False)),
+        st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+        st.one_of(st.just(0.0), st.sampled_from([-40.0, 40.0]),
+                  st.floats(-40.0, 40.0, allow_nan=False)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), entries=_DP_ENTRIES)
+def test_dp_components_matches_per_branch_oracle(d, entries):
+    # the two-ndtr kernel equals evaluating each level's branch, entry for entry
+    lv = QamConstellation(d).levels.astype(float)
+    idx, beta, sigma, off = (np.array(col) for col in zip(*entries))
+    s = np.concatenate([lv, lv[idx % lv.size]])         # every level at least once
+    beta = np.concatenate([np.full(lv.size, beta[0]), beta])
+    sigma = np.concatenate([np.full(lv.size, sigma[0]), sigma])
+    off = np.concatenate([np.full(lv.size, off[0]), off])
+    v = beta * s + off * sigma
+    want = dp_components_oracle(s, v, beta, sigma, d)
+    got = dp_components(s, v, beta, sigma, d)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    dp_only, phi_hi, phi_lo = dp_components(s, v, beta, sigma, d, need_grad=False)
+    assert np.array_equal(dp_only, want[0])
+    assert phi_hi is None and phi_lo is None
 
 
 def test_gray_bits_adjacent_levels_differ_by_one():
