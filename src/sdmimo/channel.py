@@ -23,7 +23,16 @@ gain-free taps over every lag where ``(Pi (*) Omega)(l - tau) != 0``
 (negative lags included, when a delay is shorter than the filter's half
 span); the PA gain A is already inside the PA output frame.  The model
 taps ``taps`` hold lags ``0 .. l_taps-1`` times A, exactly as written
-above, and define the frequency channels used by the precoders.
+above, and define the frequency channels used by the precoders:
+``freq`` is their M-point DFT at the active subcarriers, one dense DFT
+matrix product whose twiddles are reduced mod M, so taps beyond lag M
+alias exactly as the DFT sum says.
+
+Every zero-forcing design solves ``H_p w = s_p`` on each subcarrier.
+:class:`GramFactor` holds the per-subcarrier factorization for that (the
+inverse Gram matrices ``(H_p H_p^H)^{-1}`` and ``H^H``, computed once per
+realization and cached on it) and applies the corrected semi-normal
+equations.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import RankDeficient, ShapeMismatch
 from .ofdm import OfdmParams
 
 __all__ = [
@@ -45,12 +54,14 @@ __all__ = [
     "RrcFilter",
     "DiracFilter",
     "ChannelRealization",
+    "GramFactor",
     "steering_vector",
     "rrc_impulse",
     "pulse_filter_taps",
     "channel_from_paths",
     "draw_channel",
     "propagate",
+    "add_noise",
     "receive_filter_abs_integral",
     "psi_hat_bound",
     "hold_rx_power_factor",
@@ -153,6 +164,53 @@ def pulse_filter_taps(rx_filter, osf: int) -> Tuple[np.ndarray, int]:
     return po, center  # index i <-> lag c = i - center
 
 
+# a subcarrier whose Gram eigenvalues satisfy lambda_min <= _RANK_TOL *
+# lambda_max counts as rank deficient (sigma_min^2 <= 1e-10 sigma_max^2)
+_RANK_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class GramFactor:
+    """Minimum-norm solver for the per-subcarrier systems ``H_p w_p = s_p``.
+
+    `h` is the (m_s, K, N) stack of channel matrices (K <= N), `h_adj`
+    its conjugate transpose (m_s, N, K) and `gram_inv` the inverse Gram
+    matrices ``(H_p H_p^H)^{-1}`` (m_s, K, K).  Build it with :meth:`of`,
+    which raises :class:`RankDeficient` before any inverse is formed.
+
+    :meth:`solve` uses the corrected semi-normal equations (A. Bjorck,
+    Linear Algebra Appl. 88/89, 1987): the semi-normal solution
+    ``w = H^H G^{-1} s`` followed by one refinement step
+    ``w += H^H G^{-1} (s - H w)``.  Forming G squares the condition
+    number, so the first step alone leaves a residual of ~4e-6 at
+    cond(H) = 9e4; after the correction the residual is at the level of a
+    per-subcarrier SVD solve (~2e-11 on unit-scale symbols) and `w`
+    agrees with the SVD minimum-norm solution to ~3e-11 relative, for
+    every condition number the rank test admits.  Both steps are batched
+    matrix products, where the SVD needs one LAPACK call per subcarrier.
+    """
+
+    h: np.ndarray
+    h_adj: np.ndarray
+    gram_inv: np.ndarray
+
+    @classmethod
+    def of(cls, h: np.ndarray) -> "GramFactor":
+        h_adj = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
+        gram = h @ h_adj
+        lam = np.linalg.eigvalsh(gram)                      # ascending
+        if np.any(lam[:, 0] <= _RANK_TOL * lam[:, -1]):
+            raise RankDeficient("channel Gram matrix is singular at some subcarrier")
+        return cls(h=h, h_adj=h_adj, gram_inv=np.linalg.inv(gram))
+
+    def solve(self, s: np.ndarray) -> np.ndarray:
+        """Minimum-norm solutions (m_s, N) for the right-hand sides `s` (m_s, K)."""
+        s = s[:, :, None]
+        w = self.h_adj @ (self.gram_inv @ s)
+        w += self.h_adj @ (self.gram_inv @ (s - self.h @ w))
+        return w[..., 0]
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Multipath parameters plus the derived discrete-time/frequency channels.
@@ -163,6 +221,8 @@ class ChannelRealization:
     ``freq[p] = sum_l taps[:, l, :] e^{-2j pi l p / M}``.
     `prop_taps` (K, L_prop, N) are the gain-free full-support taps that
     :func:`propagate` applies; entry l holds lag ``prop_lag0 + l``.
+    The ZF factorization of `freq` (:attr:`gram`) is computed on first
+    use and cached.
     """
 
     geom: UlaGeometry
@@ -186,11 +246,12 @@ class ChannelRealization:
         return self.taps.shape[1]
 
     @cached_property
-    def svd(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD ``(U, S, Vh)`` of every subcarrier's K x N channel
-        matrix, computed on first use and kept for the realization's
-        lifetime (the channel is fixed, so every precoder call shares it)."""
-        return np.linalg.svd(self.freq, full_matrices=False)
+    def gram(self) -> GramFactor:
+        """:class:`GramFactor` of every subcarrier's K x N channel matrix,
+        computed on first use and kept for the realization's lifetime (the
+        channel is fixed, so every precoder call shares it).  Raises
+        :class:`RankDeficient` when some subcarrier is singular."""
+        return GramFactor.of(self.freq)
 
 
 def channel_from_paths(
@@ -206,7 +267,9 @@ def channel_from_paths(
     """Build the derived taps and frequency channels from explicit paths.
 
     `tau_ts` is in units of the sampling period; delays are snapped to
-    the quadrature grid (multiples of 1/osf).
+    the quadrature grid (multiples of 1/osf).  `l_taps` sets the model
+    taps' length; it may exceed M, in which case lags l and l + M land on
+    the same twiddle in `freq`.
     """
     if rx_filter is None:
         rx_filter = RrcFilter()
@@ -232,12 +295,13 @@ def channel_from_paths(
     taps = pa_gain * table[:, -lag0:l_taps - lag0]
     prop_taps = table[:, lag_min - lag0:lag_max - lag0 + 1]
 
-    # DFT over the lag axis at p/M; a length c*M FFT evaluated at every
-    # c-th bin covers l_taps > M without truncating
-    m = ofdm.m
-    n_fft = m * -(-l_taps // m)
-    spec = np.fft.fft(taps, n=n_fft, axis=1)[:, :n_fft // m * ofdm.m_s:n_fft // m]
-    freq = np.ascontiguousarray(spec.transpose(1, 0, 2))
+    # freq[p] = sum_l taps[:, l] e^{-2j pi l p / M}: one (m_s, l_taps) DFT
+    # matrix times the taps, which lands directly in the (m_s, K, N) layout
+    k_users, _, n = taps.shape
+    lp = np.outer(np.arange(ofdm.m_s), np.arange(l_taps)) % ofdm.m
+    dft = np.exp(-2j * np.pi / ofdm.m * lp)
+    freq = (dft @ taps.transpose(1, 0, 2).reshape(l_taps, k_users * n)).reshape(
+        ofdm.m_s, k_users, n)
     return ChannelRealization(
         geom=geom, ofdm=ofdm, rx_filter=rx_filter, pa_gain=pa_gain,
         alpha=alpha, theta=theta, tau_fine=tau_fine, taps=taps, freq=freq,
@@ -307,12 +371,23 @@ def propagate(
         else:
             y[:, :shift] += per_lag[:, l, -shift:]
 
-    if sigma_v2 > 0.0:
-        if rng is None:
-            raise ValueError("rng required when sigma_v2 > 0")
-        noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        y += noise * math.sqrt(sigma_v2 / 2.0)
-    return y
+    return add_noise(y, sigma_v2, rng)
+
+
+def add_noise(y: np.ndarray, sigma_v2: float,
+              rng: Optional[np.random.Generator]) -> np.ndarray:
+    """`y` plus i.i.d. CN(0, sigma_v2) samples, one per entry.
+
+    Draws all real parts, then all imaginary parts, from `rng`.  Returns
+    `y` itself, drawing nothing, when ``sigma_v2 <= 0``; otherwise `rng`
+    is required.
+    """
+    if sigma_v2 <= 0.0:
+        return y
+    if rng is None:
+        raise ValueError("rng required when sigma_v2 > 0")
+    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    return y + noise * math.sqrt(sigma_v2 / 2.0)
 
 
 def receive_filter_abs_integral(rx_filter, osf: int) -> float:

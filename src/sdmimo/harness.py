@@ -55,6 +55,7 @@ from .channel import (
     ChannelRealization,
     RrcFilter,
     UlaGeometry,
+    add_noise,
     distortion_noise_power,
     draw_channel,
     propagate,
@@ -168,46 +169,63 @@ def _draw_trial_channel(ctx: _Context, rng: np.random.Generator) -> ChannelReali
     )
 
 
-def _estimate_sigma_eta(ctx: _Context, chan: ChannelRealization,
-                        zf: PrecodeResult, sigma_v2: float) -> np.ndarray:
-    """Per-user effective noise std for the symbol-level design, in the
-    units of the normalized decision statistic r / M.
+def _measured_distortion_power(ctx: _Context, chan: ChannelRealization,
+                               zf: PrecodeResult) -> np.ndarray:
+    """Per-user received shaped-distortion power the symbol-level design
+    plans for.
 
-    The distortion part uses the closed-form angular structure with the
-    per-antenna distortion second moment measured by running the
-    modulator on the zero-forcing block `zf` (the same drive statistics
-    the final signal will have); the thermal and distortion variances are
-    divided by the DFT round-trip gain M so the design margins match the
-    detector's actual operating point.
+    Uses the closed-form angular structure with the per-antenna
+    distortion second moment measured by running the modulator on the
+    zero-forcing block `zf` (the same drive statistics the final signal
+    will have).  Depends only on the channel and the block, not on the
+    noise level.
     """
-    sigma_xi2 = np.zeros(chan.n_users)
-    if ctx.chain.scheme != "none":
-        mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OverloadWarning)
-            _, q, _ = modulate(mod_cfg, zf.x.with_cp)
-        n_tail = (1 if ctx.chain.scheme == "tsd1" else
-                  2 if ctx.chain.scheme == "tsd2" else 0)
-        shaped = q[:-n_tail] if n_tail else q
-        m2 = float(np.mean(np.abs(shaped) ** 2))
-        psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter,
-                                         ctx.ofdm.osf)
-        sigma_xi2 = distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
-    return np.sqrt((sigma_xi2 + sigma_v2) / ctx.ofdm.m)
+    if ctx.chain.scheme == "none":
+        return np.zeros(chan.n_users)
+    mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverloadWarning)
+        _, q, _ = modulate(mod_cfg, zf.x.with_cp)
+    n_tail = (1 if ctx.chain.scheme == "tsd1" else
+              2 if ctx.chain.scheme == "tsd2" else 0)
+    shaped = q[:-n_tail] if n_tail else q
+    m2 = float(np.mean(np.abs(shaped) ** 2))
+    psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
+    return distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
 
 
-def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
-             sigma_v2: float) -> PrecodeResult:
-    if ctx.chain.family == "zf":
-        return zf_precode(chan, symbols, ctx.bound, variant=ctx.chain.zf_variant)
+def _slp_start(ctx: _Context, chan: ChannelRealization,
+               symbols: np.ndarray) -> Tuple[PrecodeResult, np.ndarray]:
+    """The symbol-level design's noise-independent inputs for one block:
+    its zero-forcing start point and the measured distortion power."""
     zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
-    sigma_eta = _estimate_sigma_eta(ctx, chan, zf, sigma_v2)
+    return zf, _measured_distortion_power(ctx, chan, zf)
+
+
+def _slp_solve(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
+               start: Tuple[PrecodeResult, np.ndarray], sigma_v2: float) -> PrecodeResult:
+    """Symbol-level design at one noise level from :func:`_slp_start`'s output.
+
+    The per-user effective noise std is given in the units of the
+    normalized decision statistic r / M: the thermal and distortion
+    variances are divided by the DFT round-trip gain M so the design
+    margins match the detector's actual operating point.
+    """
+    zf, sigma_xi2 = start
+    sigma_eta = np.sqrt((sigma_xi2 + sigma_v2) / ctx.ofdm.m)
     pc = ctx.cfg.precoder
     return slp_precode(
         chan, symbols, ctx.bound, sigma_eta,
         rho=pc.rho, admm_max_iter=pc.admm_max_iter, apg_max_iter=pc.apg_max_iter,
         ftol=pc.ftol, xtol=pc.xtol, apg_tol=pc.apg_tol, d=ctx.const.d, start=zf,
     )
+
+
+def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
+             sigma_v2: float) -> PrecodeResult:
+    if ctx.chain.family == "zf":
+        return zf_precode(chan, symbols, ctx.bound, variant=ctx.chain.zf_variant)
+    return _slp_solve(ctx, chan, symbols, _slp_start(ctx, chan, symbols), sigma_v2)
 
 
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
@@ -274,19 +292,15 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
             tally.beta_count += 1
             tally.overloads += n_over
             for si, sv2 in enumerate(cfg.sigma_v2):
-                y = y0
-                if sv2 > 0:
-                    noise = rng.standard_normal(y0.shape) + 1j * rng.standard_normal(y0.shape)
-                    y = y0 + noise * math.sqrt(sv2 / 2.0)
-                r = receiver_dft(ctx.ofdm, y)
+                r = receiver_dft(ctx.ofdm, add_noise(y0, sv2, rng))
                 tally.errors[si] += _detect_errors(ctx, r, result.beta, symbols)
                 tally.bits[si] += bits_per_block
         else:
+            start = _slp_start(ctx, chan, symbols)
             for si, sv2 in enumerate(cfg.sigma_v2):
-                result = _precode(ctx, chan, symbols, sigma_v2=sv2)
+                result = _slp_solve(ctx, chan, symbols, start, sv2)
                 u, n_over = _transmit(ctx, result.x)
-                y = propagate(chan, u, sv2, rng) if sv2 > 0 else propagate(chan, u, 0.0)
-                r = receiver_dft(ctx.ofdm, y)
+                r = receiver_dft(ctx.ofdm, propagate(chan, u, sv2, rng))
                 tally.errors[si] += _detect_errors(ctx, r, result.beta, symbols)
                 tally.bits[si] += bits_per_block
                 tally.beta_sum += float(result.beta.mean())

@@ -97,17 +97,27 @@ class PaModel:
         return cls(kind="twta", gain=gain, r_max=r_max)
 
 
+def _gain_phase(model: PaModel, r: np.ndarray):
+    """``(g_a(r)/r, g_p(r))`` of a non-ideal PA, the ratio written without
+    dividing by r (so it is finite at r = 0).  The one closed form per kind
+    behind :func:`amp_response`, :func:`phase_response` and :func:`apply_pa`."""
+    if model.kind == "modified_rapp":
+        two_phi = 2.0 * model.phi
+        gain = model.gain / (1.0 + (r / model.r_max) ** two_phi) ** (1.0 / two_phi)
+        r_zeta = r ** model.zeta
+        return gain, model.b * r_zeta / (1.0 + r_zeta * model.c ** -model.zeta)
+    # twta
+    ratio2 = (r / model.r_max) ** 2
+    den = 1.0 + 0.25 * ratio2
+    return model.gain / den, (np.pi / 12.0) * ratio2 / den
+
+
 def amp_response(model: PaModel, r):
     """AM-AM conversion g_a(r); vectorized over `r` (amplitudes >= 0)."""
     r = np.asarray(r, dtype=float)
     if model.kind == "ideal":
         return model.gain * np.minimum(r, model.r_max)
-    if model.kind == "modified_rapp":
-        ratio = r / model.r_max
-        return model.gain * r / (1.0 + ratio ** (2.0 * model.phi)) ** (1.0 / (2.0 * model.phi))
-    # twta
-    ratio2 = (r / model.r_max) ** 2
-    return model.gain * r / (1.0 + 0.25 * ratio2)
+    return r * _gain_phase(model, r)[0]
 
 
 def phase_response(model: PaModel, r):
@@ -115,18 +125,16 @@ def phase_response(model: PaModel, r):
     r = np.asarray(r, dtype=float)
     if model.kind == "ideal":
         return np.zeros_like(r)
-    if model.kind == "modified_rapp":
-        return model.b * r ** model.zeta / (1.0 + (r / model.c) ** model.zeta)
-    ratio2 = (r / model.r_max) ** 2
-    return (np.pi / 12.0) * ratio2 / (1.0 + 0.25 * ratio2)
+    return _gain_phase(model, r)[1]
 
 
 def apply_pa(model: PaModel, z):
     """Apply the PA response to complex baseband samples.
 
-    Returns ``g_a(|z|) * exp(1j*(arg(z) + g_p(|z|)))``.  ``arg(0)`` is
-    taken as 0, so a zero input maps to a zero output.  Accepts scalars
-    or arrays; raises ``ValueError`` on non-finite inputs.
+    Returns ``g_a(|z|) * exp(1j*(arg(z) + g_p(|z|)))``, computed as
+    ``z * (g_a(|z|)/|z|) * exp(1j*g_p(|z|))`` so no angle is taken and a
+    zero input maps to a zero output.  Accepts scalars or arrays; raises
+    ``ValueError`` on non-finite inputs.
     """
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
@@ -141,7 +149,11 @@ def apply_pa(model: PaModel, z):
                            z)
         out = model.gain * clipped
     else:
-        out = amp_response(model, r) * np.exp(1j * (np.angle(z) + phase_response(model, r)))
+        gain, phase = _gain_phase(model, r)
+        rot = np.empty_like(z)
+        np.multiply(gain, np.cos(phase), out=rot.real)
+        np.multiply(gain, np.sin(phase), out=rot.imag)
+        out = z * rot
     if z.ndim == 0:
         return complex(out)
     return out
@@ -149,9 +161,11 @@ def apply_pa(model: PaModel, z):
 
 def _distortion_amp(model: PaModel, r):
     """|G(r)/A - r| for a real amplitude r (phase factored out)."""
-    ga = amp_response(model, r) / model.gain
-    gp = phase_response(model, r)
-    return np.abs(ga * np.exp(1j * gp) - np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    if model.kind == "ideal":
+        return np.abs(amp_response(model, r) / model.gain - r)
+    gain, phase = _gain_phase(model, r)
+    return np.abs(r * (gain / model.gain) * np.exp(1j * phase) - r)
 
 
 def compute_psi(model: PaModel, chi: float, coarse: int = 4096) -> float:

@@ -96,6 +96,23 @@ def test_single_broadside_path_with_dirac_filter():
     assert np.allclose(chan.taps[0, 1:], 0.0)
 
 
+@pytest.mark.parametrize("l_taps", [8, 16, 24])
+def test_freq_is_the_dft_of_the_taps(l_taps):
+    # freq[p] = sum_l taps[:, l] e^{-2j pi l p / M} as written, for fewer
+    # taps than M, exactly M, and more than M (lags l and l + M alias)
+    geom = UlaGeometry(n=6, d_over_lambda=0.125)
+    ofdm = OfdmParams(m=16, m_s=10, m_cp=40, osf=7)
+    chan = draw_channel(np.random.default_rng(40 + l_taps), geom, ofdm, 3, 4, l_taps,
+                        rx_filter=RrcFilter(), pa_gain=16.0,
+                        delay_range_ts=(10.0, 15.0))
+    if l_taps > ofdm.m:
+        assert np.any(chan.taps[:, ofdm.m:] != 0)
+    lp = np.outer(np.arange(ofdm.m_s), np.arange(l_taps))
+    want = np.einsum("kln,pl->pkn", chan.taps, np.exp(-2j * np.pi * lp / ofdm.m))
+    assert chan.freq.shape == (ofdm.m_s, 3, 6)
+    assert np.max(np.abs(chan.freq - want)) <= 1e-13 * np.abs(chan.taps).sum(axis=1).max()
+
+
 def test_draw_channel_deterministic():
     geom = UlaGeometry(n=8, d_over_lambda=0.125)
     ofdm = OfdmParams(m=64, m_s=40, m_cp=40, osf=7)

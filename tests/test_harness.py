@@ -143,6 +143,65 @@ def test_slp_solver_stats_are_per_snr():
     assert both[0].solver_mean_admm_iters != both[1].solver_mean_admm_iters
 
 
+def test_slp_start_is_shared_by_every_noise_point(monkeypatch):
+    # the ZF start point and the modulator distortion measurement depend on
+    # the channel and the block only: one of each per block on a 3-point
+    # grid, and every solve equals the single-SNR run's solve at its point
+    import sdmimo.harness as hz
+
+    calls = {"zf_precode": 0, "modulate": 0}
+    solves = []
+
+    def counted(name):
+        real = getattr(hz, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    real_slp = hz.slp_precode
+
+    def recorded(chan, symbols, budget, sigma_eta, **kwargs):
+        res = real_slp(chan, symbols, budget, sigma_eta, **kwargs)
+        solves.append((sigma_eta, res.beta, res.z))
+        return res
+
+    monkeypatch.setattr(hz, "zf_precode", counted("zf_precode"))
+    monkeypatch.setattr(hz, "modulate", counted("modulate"))
+    monkeypatch.setattr(hz, "slp_precode", recorded)
+
+    snrs = [10.0, 25.0, 40.0]
+    doc = _tiny_doc("slp-tsd", trials=1, blocks_per_trial=2)
+    doc["noise"] = {"inv_sigma_v2_db": snrs}
+    run_ber(config_from_dict(doc))
+    # per block: one measurement run plus one transmit run per noise point
+    assert calls == {"zf_precode": 2, "modulate": 2 * (1 + len(snrs))}
+
+    # with one block per trial every noise point solves on the same channel
+    # and symbols as the single-SNR run; the first point also sees the same
+    # noise draws
+    doc = _tiny_doc("slp-tsd")
+    doc["noise"] = {"inv_sigma_v2_db": snrs}
+    solves.clear()
+    records = run_ber(config_from_dict(doc))
+    grid_solves = list(solves)
+    for si, snr in enumerate(snrs):
+        doc["noise"] = {"inv_sigma_v2_db": [snr]}
+        solves.clear()
+        (alone,) = run_ber(config_from_dict(doc))
+        for (sig_a, beta_a, z_a), (sig_b, beta_b, z_b) in zip(
+                grid_solves[si::len(snrs)], solves, strict=True):
+            assert np.array_equal(sig_a, sig_b)
+            assert np.array_equal(beta_a, beta_b)
+            assert np.array_equal(z_a, z_b)
+        rec = records[si]
+        assert rec.solver_converged_frac == alone.solver_converged_frac
+        assert rec.solver_mean_admm_iters == alone.solver_mean_admm_iters
+        if si == 0:
+            assert (rec.errors, rec.bits) == (alone.errors, alone.bits)
+
+
 def test_scatter_ideal_chain_hits_constellation():
     doc = _tiny_doc("zf-ref", blocks_per_trial=4)
     res = run_scatter(config_from_dict(doc))

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sdmimo.channel import DiracFilter, RrcFilter, UlaGeometry, channel_from_paths, draw_channel
+from sdmimo.channel import (
+    DiracFilter,
+    GramFactor,
+    RrcFilter,
+    UlaGeometry,
+    channel_from_paths,
+    draw_channel,
+)
 from sdmimo.errors import RankDeficient
 from sdmimo.ofdm import OfdmParams, idft_modulate
 from sdmimo.precoding import (
@@ -12,6 +19,7 @@ from sdmimo.precoding import (
     zf_precode,
 )
 from sdmimo.qam import QamConstellation
+from zf_oracle import svd_min_norm_solve, svd_rank_deficient
 
 
 def _random_channel(rng, n, k, m, m_s, l_taps=20):
@@ -82,6 +90,63 @@ def test_zf_rank_deficient_raises():
     s = QamConstellation(2).random_symbols(np.random.default_rng(5), (2, 10))
     with pytest.raises(RankDeficient):
         zf_precode(chan, s, budget=0.08)
+
+
+def _stack_with_singular_values(rng, m_s, n, sv):
+    """(m_s, K, N) stack H_p = U_p diag(sv) V_p^H with random unitary U_p and
+    orthonormal V_p, so every subcarrier has the singular values `sv`."""
+    k = len(sv)
+    u, _ = np.linalg.qr(rng.standard_normal((m_s, k, k)) + 1j * rng.standard_normal((m_s, k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((m_s, n, k)) + 1j * rng.standard_normal((m_s, n, k)))
+    return (u * np.asarray(sv)) @ v.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("k,n", [(1, 1), (4, 16), (10, 64)])
+@pytest.mark.parametrize("cond", [1e1, 1e3, 1e4, 9e4])
+def test_gram_solve_matches_svd_oracle(k, n, cond):
+    # prescribed condition numbers up to 9e4 (sigma ratio^2 = 1.2e-10, just
+    # inside the rank test): the corrected semi-normal solution must be as
+    # exact as the SVD solve and equal its minimum-norm solution
+    rng = np.random.default_rng(int(cond) + 100 * k)
+    m_s = 300
+    h = 16.0 * _stack_with_singular_values(rng, m_s, n, np.logspace(0.0, -np.log10(cond), k))
+    s = rng.standard_normal((m_s, k)) + 1j * rng.standard_normal((m_s, k))
+    w = GramFactor.of(h).solve(s)
+    w_ref = svd_min_norm_solve(h, s)
+
+    def residual(x):
+        return float(np.max(np.abs((h @ x[:, :, None])[..., 0] - s)))
+
+    assert residual(w) <= 2.0 * residual(w_ref) + 1e-13
+    rel = np.linalg.norm(w - w_ref, axis=1) / np.linalg.norm(w_ref, axis=1)
+    assert float(rel.max()) <= 1e-9
+
+
+@pytest.mark.parametrize("ratio,singular", [(1e-11, True), (1e-9, False)])
+def test_gram_rank_test_agrees_with_svd(ratio, singular):
+    # sigma_min^2 / sigma_max^2 on one subcarrier on either side of the 1e-10
+    # threshold; the other subcarriers are well conditioned
+    rng = np.random.default_rng(7)
+    h = np.concatenate([
+        _stack_with_singular_values(rng, 39, 16, [1.0, 0.8, 0.5, 0.3]),
+        _stack_with_singular_values(rng, 1, 16, [1.0, 0.5, 0.1, np.sqrt(ratio)]),
+    ])
+    assert svd_rank_deficient(h) is singular
+    if singular:
+        with pytest.raises(RankDeficient):
+            GramFactor.of(h)
+    else:
+        GramFactor.of(h)
+
+
+def test_zf_precode_matches_svd_oracle_on_drawn_channels():
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        chan = _random_channel(rng, 16, 4, 64, 40)
+        s = QamConstellation(2).random_symbols(rng, (4, 40))
+        res = zf_precode(chan, s, budget=0.08)
+        w_ref = svd_min_norm_solve(chan.freq, s.T).T
+        assert np.max(np.abs(res.z * res.gamma - w_ref)) <= 1e-12 * np.abs(w_ref).max()
 
 
 def test_project_amplitude_basics():
