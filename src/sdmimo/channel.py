@@ -29,10 +29,14 @@ matrix product whose twiddles are reduced mod M, so taps beyond lag M
 alias exactly as the DFT sum says.
 
 Every zero-forcing design solves ``H_p w = s_p`` on each subcarrier.
-:class:`GramFactor` holds the per-subcarrier factorization for that (the
-inverse Gram matrices ``(H_p H_p^H)^{-1}`` and ``H^H``, computed once per
-realization and cached on it) and applies the corrected semi-normal
-equations.
+:class:`GramFactor` holds what that needs (the inverse Gram matrices
+``(H_p H_p^H)^{-1}``, one batched inverse computed once per realization
+and cached on it, whose norms also certify the rank test) and applies
+the corrected semi-normal equations.
+
+The DFT twiddle matrix and the pulse/filter table depend only on the
+grid and the filter, so they are computed once per process and shared
+read-only.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -152,31 +156,64 @@ class DiracFilter:
         return np.array([float(osf)]), 0   # weight 1/dt so conv * dt == identity
 
 
+@lru_cache(maxsize=16)
 def pulse_filter_taps(rx_filter, osf: int) -> Tuple[np.ndarray, int]:
     """Rectangular transmit pulse convolved with the receive filter.
 
     Returns the quadrature-grid array of ``(Pi (*) Omega)(c/osf)`` and
     the index of lag c = 0.  The rectangular pulse is sampled
     left-closed on [0, 1), matching the zero-order-hold transmit pulse.
+    The result is computed once per (filter, osf) and shared, so the
+    array is read-only.
     """
     omega, center = rx_filter.sample(osf)
     po = np.convolve(np.ones(osf), omega) / osf
+    po.setflags(write=False)
     return po, center  # index i <-> lag c = i - center
+
+
+@lru_cache(maxsize=16)
+def _dft_matrix(m: int, m_s: int, l_taps: int) -> np.ndarray:
+    """The (m_s, l_taps) twiddles ``exp(-2j pi ((l p) mod M) / M)``,
+    computed once per shape and shared, so read-only."""
+    lp = np.outer(np.arange(m_s), np.arange(l_taps)) % m
+    dft = np.exp(-2j * np.pi / m * lp)
+    dft.setflags(write=False)
+    return dft
 
 
 # a subcarrier whose Gram eigenvalues satisfy lambda_min <= _RANK_TOL *
 # lambda_max counts as rank deficient (sigma_min^2 <= 1e-10 sigma_max^2)
 _RANK_TOL = 1e-10
+# GramFactor's norm certificate decides a subcarrier only when its
+# eigenvalue-ratio interval clears _RANK_TOL by this factor; near the
+# threshold the rounding of t is ~1e-5 relative, and the eigenvalues'
+# ~1e-13 lambda_max, so what the certificate decides agrees with eigvalsh
+_CERT_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
 class GramFactor:
     """Minimum-norm solver for the per-subcarrier systems ``H_p w_p = s_p``.
 
-    `h` is the (m_s, K, N) stack of channel matrices (K <= N), `h_adj`
-    its conjugate transpose (m_s, N, K) and `gram_inv` the inverse Gram
-    matrices ``(H_p H_p^H)^{-1}`` (m_s, K, K).  Build it with :meth:`of`,
-    which raises :class:`RankDeficient` before any inverse is formed.
+    `h` is the (m_s, K, N) stack of channel matrices (K <= N) and
+    `gram_inv` the inverse Gram matrices ``(H_p H_p^H)^{-1}`` (m_s, K, K).
+    Build it with :meth:`of`, which raises :class:`RankDeficient` when some
+    subcarrier fails the rank test ``lambda_min <= 1e-10 lambda_max`` on
+    the eigenvalues of ``G_p = H_p H_p^H``.
+
+    The rank test needs no eigen-decomposition on most subcarriers.  With
+    the Frobenius norms ``t = ||G||_F ||G^{-1}||_F`` the eigenvalue ratio
+    obeys ``1/t <= lambda_min/lambda_max <= K/t``, so one batched inverse
+    certifies every subcarrier whose interval lies clear of the threshold;
+    `np.linalg.eigvalsh` runs only on the rest (none on typical channels)
+    and decides them exactly as a full eigenvalue test would.  The bounds
+    hold for the computed inverse too: each of its columns solves a system
+    within rounding of G, so its norm cannot fall far below
+    ``1/lambda_min`` even when G is singular.  (The trace of a computed
+    inverse carries no such guarantee: on a G with two equal rows its
+    huge entries cancel in the trace.)  An exactly singular G, which the
+    inverse cannot factor, also raises :class:`RankDeficient`.
 
     :meth:`solve` uses the corrected semi-normal equations (A. Bjorck,
     Linear Algebra Appl. 88/89, 1987): the semi-normal solution
@@ -191,24 +228,38 @@ class GramFactor:
     """
 
     h: np.ndarray
-    h_adj: np.ndarray
     gram_inv: np.ndarray
 
     @classmethod
     def of(cls, h: np.ndarray) -> "GramFactor":
-        h_adj = np.ascontiguousarray(h.conj().transpose(0, 2, 1))
-        gram = h @ h_adj
-        lam = np.linalg.eigvalsh(gram)                      # ascending
-        if np.any(lam[:, 0] <= _RANK_TOL * lam[:, -1]):
+        gram = h @ h.conj().transpose(0, 2, 1)
+        try:
+            gram_inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient("channel Gram matrix is singular at some subcarrier") from exc
+        k = h.shape[1]
+        t = np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(gram_inv, axis=(1, 2))
+        full = t * (_CERT_MARGIN * _RANK_TOL) < 1.0
+        deficient = t * _RANK_TOL > _CERT_MARGIN * k     # also t = inf
+        band = ~(full | deficient)                         # and t = NaN
+        if np.any(deficient):
             raise RankDeficient("channel Gram matrix is singular at some subcarrier")
-        return cls(h=h, h_adj=h_adj, gram_inv=np.linalg.inv(gram))
+        if np.any(band):
+            lam = np.linalg.eigvalsh(gram[band])    # ascending
+            if np.any(lam[:, 0] <= _RANK_TOL * lam[:, -1]):
+                raise RankDeficient("channel Gram matrix is singular at some subcarrier")
+        return cls(h=h, gram_inv=gram_inv)
+
+    def _semi_normal(self, s: np.ndarray) -> np.ndarray:
+        """``H^H G^{-1} s`` per subcarrier, taken as ``(y^H H)^H`` with
+        ``y = G^{-1} s`` so that no conjugate transpose of H is formed."""
+        y = self.gram_inv @ s[:, :, None]
+        return (y.conj().transpose(0, 2, 1) @ self.h)[:, 0].conj()
 
     def solve(self, s: np.ndarray) -> np.ndarray:
         """Minimum-norm solutions (m_s, N) for the right-hand sides `s` (m_s, K)."""
-        s = s[:, :, None]
-        w = self.h_adj @ (self.gram_inv @ s)
-        w += self.h_adj @ (self.gram_inv @ (s - self.h @ w))
-        return w[..., 0]
+        w = self._semi_normal(s)
+        return w + self._semi_normal(s - (self.h @ w[:, :, None])[..., 0])
 
 
 @dataclass(frozen=True)
@@ -298,8 +349,7 @@ def channel_from_paths(
     # freq[p] = sum_l taps[:, l] e^{-2j pi l p / M}: one (m_s, l_taps) DFT
     # matrix times the taps, which lands directly in the (m_s, K, N) layout
     k_users, _, n = taps.shape
-    lp = np.outer(np.arange(ofdm.m_s), np.arange(l_taps)) % ofdm.m
-    dft = np.exp(-2j * np.pi / ofdm.m * lp)
+    dft = _dft_matrix(ofdm.m, ofdm.m_s, l_taps)
     freq = (dft @ taps.transpose(1, 0, 2).reshape(l_taps, k_users * n)).reshape(
         ofdm.m_s, k_users, n)
     return ChannelRealization(

@@ -186,9 +186,7 @@ def _measured_distortion_power(ctx: _Context, chan: ChannelRealization,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", OverloadWarning)
         _, q, _ = modulate(mod_cfg, zf.x.with_cp)
-    n_tail = (1 if ctx.chain.scheme == "tsd1" else
-              2 if ctx.chain.scheme == "tsd2" else 0)
-    shaped = q[:-n_tail] if n_tail else q
+    shaped = q[:q.shape[0] - mod_cfg.n_tail]
     m2 = float(np.mean(np.abs(shaped) ** 2))
     psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
     return distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
@@ -249,10 +247,13 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     return u, 0
 
 
-def _detect_errors(ctx: _Context, r: np.ndarray, beta: np.ndarray,
-                   symbols: np.ndarray) -> int:
-    beta_eff = ctx.ofdm.m * beta[:, None]
-    s_hat = detect(r, beta_eff, ctx.const)
+def _bit_errors(ctx: _Context, y: np.ndarray, beta: np.ndarray,
+                symbols: np.ndarray) -> np.ndarray:
+    """Bit errors of each received frame in the (S, K, m_cp + m) stack `y`,
+    one count per frame: one DFT, one detection and one Gray tally for the
+    whole stack."""
+    r = receiver_dft(ctx.ofdm, y)
+    s_hat = detect(r, ctx.ofdm.m * beta[:, None], ctx.const)
     return symbols_to_bits_errors(symbols, s_hat, ctx.const)
 
 
@@ -291,17 +292,17 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
             tally.beta_sum += float(result.beta.mean())
             tally.beta_count += 1
             tally.overloads += n_over
-            for si, sv2 in enumerate(cfg.sigma_v2):
-                r = receiver_dft(ctx.ofdm, add_noise(y0, sv2, rng))
-                tally.errors[si] += _detect_errors(ctx, r, result.beta, symbols)
-                tally.bits[si] += bits_per_block
+            # one noisy copy per noise point, drawn in grid order
+            y = np.stack([add_noise(y0, sv2, rng) for sv2 in cfg.sigma_v2])
+            tally.errors += _bit_errors(ctx, y, result.beta, symbols)
+            tally.bits += bits_per_block
         else:
             start = _slp_start(ctx, chan, symbols)
             for si, sv2 in enumerate(cfg.sigma_v2):
                 result = _slp_solve(ctx, chan, symbols, start, sv2)
                 u, n_over = _transmit(ctx, result.x)
-                r = receiver_dft(ctx.ofdm, propagate(chan, u, sv2, rng))
-                tally.errors[si] += _detect_errors(ctx, r, result.beta, symbols)
+                y = propagate(chan, u, sv2, rng)
+                tally.errors[si] += _bit_errors(ctx, y[None], result.beta, symbols)[0]
                 tally.bits[si] += bits_per_block
                 tally.beta_sum += float(result.beta.mean())
                 tally.beta_count += 1
@@ -375,7 +376,13 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
 
     Runs ``cfg.run.trials`` independent channel trials with
     ``cfg.run.blocks_per_trial`` OFDM blocks each and accumulates
-    Gray-coded bit errors per noise point.  Trials that raise are
+    Gray-coded bit errors per noise point.  A zero-forcing block is
+    precoded, modulated and propagated once; its noise-free received
+    frame then gets one independent noise draw per grid point, in grid
+    order, and the stacked noisy frames go through one DFT, one
+    detection and one bit tally.  A symbol-level block solves once per
+    noise point, on its ZF start point and distortion measurement shared
+    by the grid.  Trials that raise are
     excluded from the tallies and counted (a warning summarizes them).
     Deterministic for a fixed config and seed, for any worker count.
     """

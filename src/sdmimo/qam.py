@@ -147,21 +147,25 @@ def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
 
-def symbols_to_bits_errors(s_true, s_hat, constellation: QamConstellation) -> int:
+def symbols_to_bits_errors(s_true, s_hat, constellation: QamConstellation):
     """Bit errors between true and detected symbols under per-axis Gray coding.
 
     Each axis carries log2(2d) bits; the level index k (0..2d-1) maps to
     the Gray code k ^ (k >> 1), so adjacent levels differ in one bit.
+    The two arrays broadcast against each other.  A result of at most two
+    dimensions gives the total as an int; a stacked one, e.g. (S, K, m_s),
+    is summed over its last two axes and gives one count per leading
+    index (an int64 array).
     """
     d = constellation.d
 
-    def axis_errors(true_ax, hat_ax):
-        kt = ((np.asarray(true_ax) + (2 * d - 1)) / 2).astype(np.int64)
-        kh = ((np.asarray(hat_ax) + (2 * d - 1)) / 2).astype(np.int64)
-        gt = kt ^ (kt >> 1)
-        gh = kh ^ (kh >> 1)
-        return int(_POPCOUNT[(gt ^ gh) & 0xFF].sum())
+    def gray(ax):
+        k = ((np.asarray(ax) + (2 * d - 1)) / 2).astype(np.int64)
+        return k ^ (k >> 1)
 
     s_true = np.asarray(s_true)
     s_hat = np.asarray(s_hat)
-    return axis_errors(s_true.real, s_hat.real) + axis_errors(s_true.imag, s_hat.imag)
+    flips = (_POPCOUNT[(gray(s_true.real) ^ gray(s_hat.real)) & 0xFF]
+             + _POPCOUNT[(gray(s_true.imag) ^ gray(s_hat.imag)) & 0xFF])
+    counts = flips.sum(axis=tuple(range(max(flips.ndim - 2, 0), flips.ndim)))
+    return int(counts) if counts.ndim == 0 else counts

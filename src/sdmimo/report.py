@@ -8,13 +8,34 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
 from .config import ExperimentConfig, config_to_dict
 from .harness import MetricRecord, ScatterResult, SpectrumRow
 
-__all__ = ["write_ber_csv", "write_scatter_csv", "write_spectrum_csv", "write_manifest"]
+__all__ = ["wilson_interval", "write_ber_csv", "write_scatter_csv", "write_spectrum_csv",
+           "write_manifest"]
+
+# standard normal quantile at 0.975: two-sided 95% coverage
+_Z95 = 1.959963984540054
+
+
+def wilson_interval(errors: int, bits: int) -> Tuple[float, float]:
+    """Wilson score 95% interval for the bit error rate ``errors / bits``.
+
+    Unlike the normal approximation it stays inside [0, 1] and is not
+    empty at zero errors; its bounds are exactly 0 at ``errors == 0`` and
+    exactly 1 at ``errors == bits``.  NaN when no bits were counted.
+    """
+    if bits <= 0:
+        return math.nan, math.nan
+    z2 = _Z95 * _Z95
+    center = (errors + z2 / 2.0) / (bits + z2)
+    half = _Z95 * math.sqrt(errors * (bits - errors) / bits + z2 / 4.0) / (bits + z2)
+    return (0.0 if errors == 0 else center - half,
+            1.0 if errors == bits else center + half)
 
 
 def _fmt(x) -> str:
@@ -27,12 +48,14 @@ def write_ber_csv(path, records: List[MetricRecord]) -> Path:
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["scheme", "precoder", "snr_db", "sigma_v2", "ber", "bits", "errors",
-                    "mean_beta", "overloads", "solver_converged_frac",
+        w.writerow(["scheme", "precoder", "snr_db", "sigma_v2", "ber", "ber_lo", "ber_hi",
+                    "bits", "errors", "mean_beta", "overloads", "solver_converged_frac",
                     "solver_mean_admm_iters", "failed_trials"])
         for r in records:
+            lo, hi = wilson_interval(r.errors, r.bits)
             w.writerow([r.scheme, r.precoder, _fmt(r.snr_db), _fmt(r.sigma_v2),
-                        _fmt(r.ber), r.bits, r.errors, _fmt(r.mean_beta), r.overloads,
+                        _fmt(r.ber), _fmt(lo), _fmt(hi), r.bits, r.errors,
+                        _fmt(r.mean_beta), r.overloads,
                         _fmt(r.solver_converged_frac), _fmt(r.solver_mean_admm_iters),
                         r.failed_trials])
     return path

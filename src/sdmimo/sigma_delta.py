@@ -7,6 +7,8 @@ provided, each with an optional tail-removing variant that puts ideal
 (linear) PAs on the last one or two antennas so that the unshaped tail
 distortion vanishes.
 
+Both orders run one error-feedback recurrence,
+``b_n = x_n - sum_k c_k q_{n-k}``, with coefficients (1) or (2, -1).
 All frames are complex arrays of shape (n_antennas, n_samples); the
 recurrence is sequential in the antenna index and vectorized over time
 samples.  State is local to one call: the error feedback starts from
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,6 +70,12 @@ class ModulatorConfig:
         )
 
     @property
+    def n_tail(self) -> int:
+        """Number of tail antennas with an ideal PA: the loop order for
+        the tail-removing variants, else 0."""
+        return self.order if self.tail_removing else 0
+
+    @property
     def input_bound(self) -> float:
         """Largest input amplitude with a no-overloading guarantee."""
         if self.order == 1:
@@ -75,10 +83,11 @@ class ModulatorConfig:
         return self.budget.chi - 3.0 * self.budget.psi
 
 
-def _check_frame(x: np.ndarray, min_rows: int) -> np.ndarray:
+def _check_frame(x: np.ndarray, cfg: ModulatorConfig) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.ndim != 2:
         raise ShapeMismatch(f"antenna frame must be 2-D, got shape {x.shape}")
+    min_rows = cfg.n_tail + 1
     if x.shape[0] < min_rows:
         raise ShapeMismatch(f"need at least {min_rows} antennas, got {x.shape[0]}")
     return x
@@ -101,51 +110,9 @@ def count_overloads(cfg: ModulatorConfig, x) -> int:
     return int(np.count_nonzero(np.abs(np.asarray(x)) > cfg.input_bound + 1e-12))
 
 
-def _run_first_order(
-    responses: list, gain: float, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-order loop: b_n = x_n - q_{n-1}, u_n = G_n(b_n), q_n = u_n/A - b_n."""
-    u = np.empty_like(x)
-    q = np.empty_like(x)
-    b = np.empty_like(x)
-    q_prev = np.zeros(x.shape[1], dtype=complex)
-    for n in range(x.shape[0]):
-        b[n] = x[n] - q_prev
-        u[n] = responses[n](b[n])
-        q[n] = u[n] / gain - b[n]
-        q_prev = q[n]
-    return u, q, b
-
-
-def _run_second_order(
-    responses: list, gain: float, x: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Second-order loop: b_n = x_n - 2 q_{n-1} + q_{n-2}."""
-    u = np.empty_like(x)
-    q = np.empty_like(x)
-    b = np.empty_like(x)
-    q_prev = np.zeros(x.shape[1], dtype=complex)
-    q_prev2 = np.zeros(x.shape[1], dtype=complex)
-    for n in range(x.shape[0]):
-        b[n] = x[n] - 2.0 * q_prev + q_prev2
-        u[n] = responses[n](b[n])
-        q[n] = u[n] / gain - b[n]
-        q_prev2 = q_prev
-        q_prev = q[n]
-    return u, q, b
-
-
-def _responses(cfg: ModulatorConfig, n_antennas: int) -> list:
-    """Per-antenna PA response callables; tail antennas get an ideal PA."""
-    pa_fn: Callable = lambda z: apply_pa(cfg.pa, z)
-    n_tail = 0
-    if cfg.tail_removing:
-        n_tail = 1 if cfg.order == 1 else 2
-    if n_tail == 0 or cfg.pa.kind == "ideal":
-        return [pa_fn] * n_antennas
-    linear = PaModel.ideal(cfg.pa.gain, cfg.pa.r_max)
-    lin_fn: Callable = lambda z: apply_pa(linear, z)
-    return [pa_fn] * (n_antennas - n_tail) + [lin_fn] * n_tail
+# feedback coefficients c_k of b_n = x_n - sum_k c_k q_{n-k}, by loop order:
+# first order b_n = x_n - q_{n-1}, second order b_n = x_n - 2 q_{n-1} + q_{n-2}
+_FEEDBACK = {1: (1.0,), 2: (2.0, -1.0)}
 
 
 def modulate_first_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,9 +139,7 @@ def modulate_first_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarra
     """
     if cfg.order != 1:
         raise ValueError("config is not first order")
-    x = _check_frame(x, min_rows=2 if cfg.tail_removing else 1)
-    _warn_overloads(cfg, x)
-    return _run_first_order(_responses(cfg, x.shape[0]), cfg.pa.gain, x)
+    return modulate(cfg, x)
 
 
 def modulate_second_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,16 +151,35 @@ def modulate_second_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarr
     """
     if cfg.order != 2:
         raise ValueError("config is not second order")
-    x = _check_frame(x, min_rows=3 if cfg.tail_removing else 1)
-    _warn_overloads(cfg, x)
-    return _run_second_order(_responses(cfg, x.shape[0]), cfg.pa.gain, x)
+    return modulate(cfg, x)
 
 
 def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dispatch to the first- or second-order loop based on `cfg.order`."""
-    if cfg.order == 1:
-        return modulate_first_order(cfg, x)
-    return modulate_second_order(cfg, x)
+    """Run the loop of order `cfg.order` over an antenna frame.
+
+    The error-feedback recurrence ``b_n = x_n - sum_k c_k q_{n-k}``,
+    ``u_n = G_n(b_n)``, ``q_n = u_n/A - b_n`` over the antenna index, with
+    ``q_n = 0`` before the first antenna.  ``G_n`` is the configured PA,
+    or an ideal one on the last ``cfg.n_tail`` antennas.  Contract as in
+    :func:`modulate_first_order`; raises ``ValueError`` at the first
+    antenna whose PA input is not finite.
+    """
+    x = _check_frame(x, cfg)
+    _warn_overloads(cfg, x)
+    n_antennas = x.shape[0]
+    first_tail = n_antennas - cfg.n_tail
+    linear = PaModel.ideal(cfg.pa.gain, cfg.pa.r_max)
+    u = np.empty_like(x)
+    q = np.empty_like(x)
+    b = np.empty_like(x)
+    for n in range(n_antennas):
+        b_n = x[n]
+        for k, c in enumerate(_FEEDBACK[cfg.order][:n], start=1):
+            b_n = b_n - c * q[n - k]
+        b[n] = b_n
+        u[n] = apply_pa(linear if n >= first_tail else cfg.pa, b_n)
+        q[n] = u[n] / cfg.pa.gain - b_n
+    return u, q, b
 
 
 def shaped_distortion_power(

@@ -113,6 +113,23 @@ def test_freq_is_the_dft_of_the_taps(l_taps):
     assert np.max(np.abs(chan.freq - want)) <= 1e-13 * np.abs(chan.taps).sum(axis=1).max()
 
 
+def test_cached_tables_equal_fresh_ones_and_are_read_only():
+    from sdmimo.channel import _dft_matrix, pulse_filter_taps
+
+    for rx_filter in (RrcFilter(), RrcFilter(rolloff=0.5, span=3.0), DiracFilter()):
+        po, center = pulse_filter_taps(rx_filter, 7)
+        fresh, fresh_center = pulse_filter_taps.__wrapped__(rx_filter, 7)
+        assert np.array_equal(po, fresh) and center == fresh_center
+        assert pulse_filter_taps(rx_filter, 7)[0] is po
+        with pytest.raises(ValueError):
+            po[0] = 1.0
+    dft = _dft_matrix(16, 10, 24)
+    assert np.array_equal(dft, _dft_matrix.__wrapped__(16, 10, 24))
+    assert _dft_matrix(16, 10, 24) is dft
+    with pytest.raises(ValueError):
+        dft[1, 1] = 0.0
+
+
 def test_draw_channel_deterministic():
     geom = UlaGeometry(n=8, d_over_lambda=0.125)
     ofdm = OfdmParams(m=64, m_s=40, m_cp=40, osf=7)

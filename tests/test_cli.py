@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 
 from sdmimo.cli import cmd_dispatch
 from sdmimo.pa import PaModel, compute_r1db
+from sdmimo.report import wilson_interval
 
 
 @pytest.fixture()
@@ -55,13 +57,43 @@ def test_ber_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader((out / "ber.csv").open()))
     assert len(rows) == 2
-    assert {"scheme", "snr_db", "ber", "bits", "errors"} <= set(rows[0])
+    assert {"scheme", "snr_db", "ber", "ber_lo", "ber_hi", "bits", "errors"} <= set(rows[0])
+    for row in rows:
+        lo, hi = wilson_interval(int(row["errors"]), int(row["bits"]))
+        assert float(row["ber_lo"]) == pytest.approx(lo, rel=1e-11)
+        assert float(row["ber_hi"]) == pytest.approx(hi, rel=1e-11)
+        assert float(row["ber_lo"]) <= float(row["ber"]) <= float(row["ber_hi"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["master_seed"] == 5
     assert "ber.csv" in manifest["outputs"]
     assert manifest["config"]["system"]["n"] == 4
     # config file untouched
     assert tiny_config.read_text()
+
+
+@pytest.mark.parametrize("errors,bits,lo,hi", [
+    # Wilson score intervals without continuity correction: the first four
+    # are the worked examples of R. G. Newcombe, Stat. Med. 17 (1998) 857,
+    # the last two computed by hand (10/10 mirrors 0/10 = [0, 0.2775])
+    (81, 263, 0.2553, 0.3662),
+    (15, 148, 0.0624, 0.1605),
+    (0, 20, 0.0, 0.1611),
+    (1, 29, 0.0061, 0.1718),
+    (5, 10, 0.2366, 0.7634),
+    (10, 10, 0.7225, 1.0),
+])
+def test_wilson_interval_hand_values(errors, bits, lo, hi):
+    got_lo, got_hi = wilson_interval(errors, bits)
+    assert got_lo == pytest.approx(lo, abs=5e-5)
+    assert got_hi == pytest.approx(hi, abs=5e-5)
+
+
+def test_wilson_interval_edges():
+    z2 = 1.959963984540054 ** 2
+    # no errors: [0, z^2 / (n + z^2)]; all errors: [n / (n + z^2), 1]
+    assert wilson_interval(0, 1000) == (0.0, pytest.approx(z2 / (1000 + z2), rel=1e-14))
+    assert wilson_interval(1000, 1000) == (pytest.approx(1000 / (1000 + z2), rel=1e-14), 1.0)
+    assert all(math.isnan(v) for v in wilson_interval(0, 0))
 
 
 def test_failed_trials_reach_manifest_and_csv(tiny_config, tmp_path, monkeypatch):

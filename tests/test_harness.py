@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdmimo.channel import add_noise, propagate
 from sdmimo.config import config_from_dict
 from sdmimo.errors import ConfigError
 from sdmimo.harness import (
@@ -12,6 +13,8 @@ from sdmimo.harness import (
     self_check_linear_chain,
     substream,
 )
+from sdmimo.ofdm import receiver_dft
+from sdmimo.qam import detect, symbols_to_bits_errors
 
 
 def _tiny_doc(precoder="zf-ref", scheme="auto", **run_kw):
@@ -200,6 +203,63 @@ def test_slp_start_is_shared_by_every_noise_point(monkeypatch):
         assert rec.solver_mean_admm_iters == alone.solver_mean_admm_iters
         if si == 0:
             assert (rec.errors, rec.bits) == (alone.errors, alone.bits)
+
+
+_DESK_SNR_DB = [14.0, 20.0, 24.0, 28.0, 32.0, 36.0]
+
+
+def _per_point_zf_counts(ctx, trial):
+    """Errors and bits per noise point of one zero-forcing trial, with a
+    DFT, a detection and a bit tally of its own for every noise point: the
+    reference for the stacked noise sweep in `_run_trial`."""
+    import sdmimo.harness as hz
+
+    cfg = ctx.cfg
+    rng = substream(cfg.run.seed, trial)
+    chan = hz._draw_trial_channel(ctx, rng)
+    errors = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
+    bits = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
+    for _block in range(cfg.run.blocks_per_trial):
+        symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
+        result = hz._precode(ctx, chan, symbols, sigma_v2=0.0)
+        u, _ = hz._transmit(ctx, result.x)
+        y0 = propagate(chan, u, 0.0)
+        for si, sv2 in enumerate(cfg.sigma_v2):
+            r = receiver_dft(ctx.ofdm, add_noise(y0, sv2, rng))
+            s_hat = detect(r, ctx.ofdm.m * result.beta[:, None], ctx.const)
+            errors[si] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
+            bits[si] += symbols.size * 2 * ctx.const.bits_per_axis
+    return errors, bits
+
+
+@pytest.mark.parametrize("precoder,scheme", [("zf-tsd", "auto"), ("zf-bo", "auto"),
+                                             ("zf-sd", "none")])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_stacked_noise_sweep_matches_per_point_loop(precoder, scheme, blocks):
+    doc = _tiny_doc(precoder, scheme, trials=3, blocks_per_trial=blocks)
+    doc["noise"] = {"inv_sigma_v2_db": _DESK_SNR_DB}
+    cfg = config_from_dict(doc)
+    records = run_ber(cfg)
+    ctx = build_context(cfg)
+    counts = [_per_point_zf_counts(ctx, t) for t in range(cfg.run.trials)]
+    assert [r.errors for r in records] == list(sum(e for e, _ in counts))
+    assert [r.bits for r in records] == list(sum(b for _, b in counts))
+    assert records[0].errors > 0      # the comparison covers actual errors
+
+
+@pytest.mark.parametrize("precoder,scheme", [("zf-tsd", "auto"), ("zf-bo", "auto"),
+                                             ("zf-sd", "none")])
+def test_single_snr_run_matches_first_point_of_sweep(precoder, scheme):
+    # the first noise point's draws come first in every block, so alone or
+    # in the grid it sees the same noise
+    doc = _tiny_doc(precoder, scheme, trials=3)
+    doc["noise"] = {"inv_sigma_v2_db": _DESK_SNR_DB}
+    first = run_ber(config_from_dict(doc))[0]
+    doc["noise"] = {"inv_sigma_v2_db": _DESK_SNR_DB[:1]}
+    (alone,) = run_ber(config_from_dict(doc))
+    assert (alone.errors, alone.bits, alone.mean_beta) == (first.errors, first.bits,
+                                                           first.mean_beta)
+    assert alone.errors > 0
 
 
 def test_scatter_ideal_chain_hits_constellation():

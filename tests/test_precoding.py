@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sdmimo.channel import (
     DiracFilter,
@@ -136,6 +140,62 @@ def test_gram_rank_test_agrees_with_svd(ratio, singular):
         with pytest.raises(RankDeficient):
             GramFactor.of(h)
     else:
+        GramFactor.of(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 10), extra=st.integers(0, 6),
+       log_ratio=st.floats(-12.0, -8.0), seed=st.integers(0, 2**32 - 1))
+def test_gram_rank_certificate_agrees_with_svd(k, extra, log_ratio, seed):
+    # sigma_min^2 / sigma_max^2 = 10**log_ratio on one subcarrier (1 for
+    # K = 1, where only the scale is tiny); ratios within 0.1% of the 1e-10
+    # threshold are left out, since there a rounding-level change of the
+    # computed eigenvalues may flip the decision of either test.  Ratios in
+    # [5e-11, 2e-10] lie in every K's fallback band, so eigvalsh decides them;
+    # the rest are decided by the norm certificate alone.
+    assume(abs(log_ratio + 10.0) > 4.3e-4)
+    rng = np.random.default_rng(seed)
+    ratio = 10.0 ** log_ratio
+    sv = (np.sqrt([ratio]) if k == 1 else
+          np.concatenate([np.logspace(0.0, -1.0, k - 1), np.sqrt([ratio])]))
+    h = np.concatenate([
+        _stack_with_singular_values(rng, 5, k + extra, np.linspace(1.0, 0.5, k)),
+        _stack_with_singular_values(rng, 1, k + extra, sv),
+    ])
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        try:
+            GramFactor.of(h)
+            raised = False
+        except RankDeficient:
+            raised = True
+    assert raised is svd_rank_deficient(h)
+    if k > 1 and 5e-11 <= ratio <= 2e-10:
+        assert spy.call_count == 1
+        assert spy.call_args.args[0].shape == (1, k, k)
+    elif not 5e-11 / k <= ratio <= 2e-10 * k:
+        assert spy.call_count == 0
+
+
+def test_gram_rank_certificate_skips_eigvalsh_on_drawn_channels():
+    rng = np.random.default_rng(9)
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        for _ in range(5):
+            _random_channel(rng, 16, 4, 64, 40).gram
+    assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("dependent", ["zero_row", "duplicate_row"])
+def test_exactly_singular_gram_raises_rank_deficient(dependent):
+    rng = np.random.default_rng(10)
+    h = _stack_with_singular_values(rng, 8, 6, [1.0, 0.7, 0.4])
+    if dependent == "zero_row":
+        h[3, 1] = 0.0
+        # the batched inverse itself fails on this stack
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(h @ h.conj().transpose(0, 2, 1))
+    else:
+        h[3, 2] = h[3, 0]
+    with pytest.raises(RankDeficient):
         GramFactor.of(h)
 
 

@@ -189,3 +189,17 @@ def test_bit_error_count_matches_manual():
     s_hat = np.array([-3 - 1j])     # re: 10 vs 00 -> 1 bit; im: 10 vs 01 -> 2 bits
     assert symbols_to_bits_errors(s_true, s_hat, const) == 3
     assert symbols_to_bits_errors(s_true, s_true, const) == 0
+
+
+def test_bit_errors_of_a_stack_are_counted_per_frame():
+    # a (S, K, M) stack of decisions gives one count per leading index,
+    # each equal to the count of that frame alone
+    const = QamConstellation(d=2)
+    rng = np.random.default_rng(11)
+    s_true = const.random_symbols(rng, (3, 7))
+    s_hat = np.stack([s_true, const.random_symbols(rng, (3, 7)),
+                      const.random_symbols(rng, (3, 7))])
+    counts = symbols_to_bits_errors(s_true, s_hat, const)
+    assert counts.shape == (3,)
+    assert list(counts) == [symbols_to_bits_errors(s_true, f, const) for f in s_hat]
+    assert counts[0] == 0 and counts[1] > 0

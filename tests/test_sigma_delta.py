@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sdmimo import sigma_delta
 from sdmimo.errors import OverloadWarning, ShapeMismatch
 from sdmimo.ofdm import OfdmParams, sample_hold
 from sdmimo.pa import PaModel, ShapingBudget
 from sdmimo.sigma_delta import (
     ModulatorConfig,
-    _run_first_order,
     count_overloads,
     modulate,
     modulate_first_order,
@@ -21,6 +21,7 @@ from sdmimo.sigma_delta import (
 )
 
 from conftest import complex_uniform_disk
+from sd_oracle import modulate_oracle
 
 
 def _cfg(pa, order=1, tail=False):
@@ -152,11 +153,16 @@ def test_second_order_tail_removal(rapp_pa):
     assert np.abs(q[-2:]).max() == 0.0
 
 
-def test_one_bit_quantizer_stub_bound():
+def test_one_bit_quantizer_stub_bound(monkeypatch):
     # classic one-bit result via a signum stub: |x|<=1 implies |q|<=1
+    monkeypatch.setattr(sigma_delta, "apply_pa", lambda model, z: np.sign(z))
+    cfg = ModulatorConfig(order=1, tail_removing=False,
+                          pa=PaModel.ideal(gain=1.0, r_max=1.0),
+                          budget=ShapingBudget(chi=2.0, psi=1.0))
     rng = np.random.default_rng(10)
     x = rng.uniform(-1.0, 1.0, size=(64, 400)).astype(complex)
-    u, q, b = _run_first_order([np.sign] * 64, 1.0, x)
+    u, q, b = modulate(cfg, x)
+    assert np.array_equal(np.abs(u), np.ones(u.shape))  # the stub ran on every row
     assert np.abs(q).max() <= 1.0 + 1e-12
 
 
@@ -275,3 +281,43 @@ def test_modulate_commutes_with_hold(scheme, x, osf):
         loop_first = modulate(cfg, x)
     for a, b in zip(held_first, loop_first):
         assert a.tobytes() == sample_hold(params, b).tobytes()
+
+
+_PA_MODELS = (
+    PaModel.ideal(gain=16.0, r_max=0.1187),
+    _RAPP,
+    PaModel.twta(gain=16.0, r_max=0.1187),
+)
+
+
+@pytest.mark.parametrize("model", _PA_MODELS, ids=lambda m: m.kind)
+@pytest.mark.parametrize("scheme", ("sd1", "tsd1", "sd2", "tsd2"))
+@settings(max_examples=60, deadline=None)
+@given(x=FRAMES)
+def test_loop_matches_per_order_oracle(model, scheme, x):
+    # the one error-feedback recurrence reproduces the per-order loops with
+    # their per-antenna PA list bit for bit, overloaded samples included
+    cfg = ModulatorConfig.from_scheme(scheme, model, ShapingBudget.from_pa(model, model.r_max))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverloadWarning)
+        got = modulate(cfg, x)
+    for a, b in zip(got, modulate_oracle(cfg, x)):
+        assert np.array_equal(a, b)
+
+
+def test_tail_count_per_scheme(rapp_pa, rapp_budget):
+    tails = {s: ModulatorConfig.from_scheme(s, rapp_pa, rapp_budget).n_tail
+             for s in ("sd1", "tsd1", "sd2", "tsd2")}
+    assert tails == {"sd1": 0, "tsd1": 1, "sd2": 0, "tsd2": 2}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+def test_nonfinite_pa_input_rejected(rapp_pa, value):
+    # a non-finite input, or a finite one whose feedback overflows, reaches
+    # a PA as a non-finite sample, which apply_pa rejects on that row
+    x = np.zeros((4, 3), dtype=complex)
+    x[0, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="finite"):
+            modulate(_cfg(rapp_pa), x)
