@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import RankDeficient, ShapeMismatch
 from .ofdm import OfdmParams
+from .sigma_delta import shaped_power
 
 __all__ = [
     "UlaGeometry",
@@ -519,37 +520,17 @@ def distortion_noise_power(chan: ChannelRealization, psi_hat: float, scheme: str
     """Per-user closed-form estimate of the received shaped-distortion power.
 
     Under the i.i.d. distortion model (per-antenna received distortion
-    amplitude uniform on [0, psi_hat], uniform phase), with
-    ``w_j = 2 pi (d/lambda) sin(theta_{i,j})`` and per-path weights
-    ``|alpha_{i,j}|^2``:
-
-    * ``sd1``  : 4 (N-1)/3 psi_hat^2 sum_j |a_j|^2 sin^2(w_j/2)
-                 + psi_hat^2/3 sum_j |a_j|^2
-    * ``tsd1`` : first term only
-    * ``tsd2`` : 16 (N-2)/3 psi_hat^2 sum_j |a_j|^2 sin^4(w_j/2)
-    * ``sd2``  : the tsd2 term plus the two unshaped edge antennas,
-                 psi_hat^2/3 sum_j |a_j|^2 (|1 - 2 e^{-j w_j}|^2 + 1)
-    * ``none`` : zeros (no modulator, nothing shaped)
+    amplitude uniform on [0, psi_hat], uniform phase), this is
+    :func:`sdmimo.sigma_delta.shaped_power` over each user's paths, with
+    ``base = psi_hat^2 / 3``, half frequencies
+    ``pi (d/lambda) sin(theta_{i,j})`` and weights ``|alpha_{i,j}|^2``.
+    Zeros for ``scheme == "none"`` (no modulator, nothing shaped).
 
     The first-order forms follow the i.i.d. model directly; the
     second-order forms apply the same model to the squared
     second-difference response.
     """
-    n = chan.geom.n
-    a2 = np.abs(chan.alpha) ** 2          # (K, J)
-    half_w = np.pi * chan.geom.d_over_lambda * np.sin(chan.theta)
-    s2 = np.sin(half_w) ** 2
-    base = psi_hat**2 / 3.0
     if scheme == "none":
         return np.zeros(chan.n_users)
-    if scheme == "sd1":
-        return 4.0 * (n - 1) * base * np.sum(a2 * s2, axis=1) + base * np.sum(a2, axis=1)
-    if scheme == "tsd1":
-        return 4.0 * (n - 1) * base * np.sum(a2 * s2, axis=1)
-    if scheme == "tsd2":
-        return 16.0 * (n - 2) * base * np.sum(a2 * s2 * s2, axis=1)
-    if scheme == "sd2":
-        w = 2.0 * half_w
-        edge = np.abs(1.0 - 2.0 * np.exp(-1j * w)) ** 2 + 1.0
-        return 16.0 * (n - 2) * base * np.sum(a2 * s2 * s2, axis=1) + base * np.sum(a2 * edge, axis=1)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    half_w = np.pi * chan.geom.d_over_lambda * np.sin(chan.theta)
+    return shaped_power(scheme, chan.geom.n, psi_hat**2 / 3.0, np.abs(chan.alpha) ** 2, half_w)

@@ -12,13 +12,14 @@ raise :class:`ConfigError` naming the offending section and key.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple
 
 from .errors import ConfigError
 from .ofdm import OfdmParams
 from .pa import PaModel
+from .sigma_delta import SCHEMES
 
 __all__ = [
     "SystemConfig",
@@ -29,11 +30,26 @@ __all__ = [
     "config_to_dict",
 ]
 
-PRECODER_NAMES = (
-    "zf-sd", "zf-tsd", "zf-bo", "zf-tp", "zf-ref",
-    "slp-sd", "slp-tsd", "slp-bo", "slp-ref",
-)
-SCHEME_NAMES = ("auto", "sd1", "tsd1", "sd2", "tsd2", "none")
+# precoder selector -> (family, budget kind, default scheme, PA layout when
+# the scheme is "none"); the recipes are explained in sdmimo.harness
+CHAINS = {
+    "zf-sd": ("zf", "headroom", "sd1", "all"),
+    "zf-tsd": ("zf", "headroom", "tsd1", "all"),
+    "zf-bo": ("zf", "backoff", "none", "except_last"),
+    "zf-tp": ("zf", "total-power", "none", "except_last"),
+    "zf-ref": ("zf", "headroom", "none", "ideal"),
+    "slp-sd": ("slp", "headroom", "sd1", "all"),
+    "slp-tsd": ("slp", "headroom", "tsd1", "all"),
+    "slp-bo": ("slp", "backoff", "none", "except_last"),
+    "slp-ref": ("slp", "headroom", "none", "ideal"),
+}
+PRECODER_NAMES = tuple(CHAINS)
+SCHEME_NAMES = ("auto", *SCHEMES, "none")
+
+DEFAULT_PA = PaModel.modified_rapp(gain=16.0, r_max=0.1187, phi=1.1, zeta=4.0,
+                                   b=-345.0, c=0.17)
+# key of the JSON "pa" section (besides "kind") -> PaModel field
+_PA_KEYS = {"A": "gain", "r_max": "r_max", "phi": "phi", "zeta": "zeta", "B": "b", "C": "c"}
 
 
 @dataclass(frozen=True)
@@ -85,8 +101,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemConfig = field(default_factory=SystemConfig)
-    pa: PaModel = field(default_factory=lambda: PaModel.modified_rapp(
-        gain=16.0, r_max=0.1187, phi=1.1, zeta=4.0, b=-345.0, c=0.17))
+    pa: PaModel = DEFAULT_PA
     chi: Optional[float] = None            # PA input disk radius; default r_max
     scheme: str = "auto"
     precoder: PrecoderConfig = field(default_factory=PrecoderConfig)
@@ -108,21 +123,14 @@ def _take(section: dict, section_name: str, defaults) -> dict:
 
 
 def _pa_from_dict(block: dict) -> PaModel:
-    allowed = {"kind", "A", "r_max", "phi", "zeta", "B", "C"}
-    bad = set(block) - allowed
+    """A PA section over :data:`DEFAULT_PA`: keys left out keep its values."""
+    bad = set(block) - {"kind", *_PA_KEYS}
     if bad:
         raise ConfigError(f"unknown key(s) in section 'pa': {sorted(bad)}")
-    kind = block.get("kind", "modified_rapp")
     try:
-        return PaModel(
-            kind=kind,
-            gain=float(block.get("A", 16.0)),
-            r_max=float(block.get("r_max", 0.1187)),
-            phi=float(block.get("phi", 1.1)),
-            zeta=float(block.get("zeta", 4.0)),
-            b=float(block.get("B", -345.0)),
-            c=float(block.get("C", 0.17)),
-        )
+        return replace(DEFAULT_PA, kind=block.get("kind", DEFAULT_PA.kind),
+                       **{name: float(block[key]) for key, name in _PA_KEYS.items()
+                          if key in block})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid 'pa' section: {exc}") from exc
 
@@ -225,10 +233,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Round-trippable plain-dict snapshot of a configuration (for manifests)."""
     return {
         "system": asdict(cfg.system),
-        "pa": {
-            "kind": cfg.pa.kind, "A": cfg.pa.gain, "r_max": cfg.pa.r_max,
-            "phi": cfg.pa.phi, "zeta": cfg.pa.zeta, "B": cfg.pa.b, "C": cfg.pa.c,
-        },
+        "pa": {"kind": cfg.pa.kind,
+               **{key: getattr(cfg.pa, name) for key, name in _PA_KEYS.items()}},
         "chi": cfg.chi,
         "scheme": cfg.scheme,
         "precoder": asdict(cfg.precoder),

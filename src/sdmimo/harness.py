@@ -18,22 +18,18 @@ execution order and adding trials never perturbs earlier ones.
 Chain recipes
 -------------
 The precoder selector fixes the family, the amplitude budget, and the
-default PA/modulator layout; the `scheme` config key (default "auto")
-can override the modulator, e.g. ``{"precoder": "zf-sd", "scheme":
-"none"}`` runs plain ZF through distorting PAs with no shaping loop.
-
-==========  ======  =================  ==============  ==================
-selector    family  budget             default scheme  PAs when scheme=none
-==========  ======  =================  ==============  ==================
-zf-sd       ZF      chi - psi          sd1             all nonlinear
-zf-tsd      ZF      chi - psi          tsd1            all nonlinear
-zf-bo       ZF      r_1dB              none            linear last antenna
-zf-tp       ZF      total power        none            linear last antenna
-zf-ref      ZF      chi - psi          none            all ideal
-slp-*       SLP     as the ZF analog   as above        as above
-==========  ======  =================  ==============  ==================
-
-Second-order schemes (sd2/tsd2) shrink the budget to chi - 3 psi.
+default PA/modulator layout; the one table of them is
+:data:`sdmimo.config.CHAINS`.  Budgets: "headroom" is the modulator's
+input bound (chi - psi, or chi - 3 psi for sd2/tsd2; chi - psi with no
+modulator), "backoff" the PA's r_1dB, "total-power" the reference r_max.
+PA layouts with no modulator: "all" nonlinear, "except_last" (a linear
+last antenna) or "ideal".  The `scheme` config key (default "auto") can
+override the modulator, e.g. ``{"precoder": "zf-sd", "scheme": "none"}``
+runs plain ZF through distorting PAs with no shaping loop.
+:func:`build_context` resolves the chain once per run, modulator
+included, so a scheme whose no-overloading input set is empty for the
+configured PA and chi is a :class:`~sdmimo.errors.ConfigError` before
+any trial, whatever the selector.
 
 Scaling note: the unnormalized DFT pair makes the noise-free received
 subcarrier value ``M * h_p^T z_p``, so detection divides by ``M *
@@ -62,7 +58,7 @@ from .channel import (
     psi_hat_calibrated,
     steering_vector,
 )
-from .config import ExperimentConfig
+from .config import CHAINS, ExperimentConfig
 from .errors import ConfigError, OverloadWarning
 from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
 from .pa import PaModel, ShapingBudget, apply_pa, compute_r1db
@@ -94,33 +90,17 @@ class ChainSpec:
 
     family: str        # "zf" | "slp"
     budget_kind: str   # "headroom" | "backoff" | "total-power"
-    scheme: str        # "sd1" | "tsd1" | "sd2" | "tsd2" | "none"
+    scheme: str        # a key of sigma_delta.SCHEMES, or "none"
     pa_mode: str       # used when scheme == "none": "all" | "except_last" | "ideal"
-    zf_variant: str
-
-
-_CHAIN_DEFAULTS = {
-    "zf-sd": ("zf", "headroom", "sd1", "all", "sigma-delta"),
-    "zf-tsd": ("zf", "headroom", "tsd1", "all", "tail"),
-    "zf-bo": ("zf", "backoff", "none", "except_last", "back-off"),
-    "zf-tp": ("zf", "total-power", "none", "except_last", "total-power"),
-    "zf-ref": ("zf", "headroom", "none", "ideal", "no-distortion"),
-    "slp-sd": ("slp", "headroom", "sd1", "all", "sigma-delta"),
-    "slp-tsd": ("slp", "headroom", "tsd1", "all", "tail"),
-    "slp-bo": ("slp", "backoff", "none", "except_last", "back-off"),
-    "slp-ref": ("slp", "headroom", "none", "ideal", "no-distortion"),
-}
 
 
 def resolve_chain(precoder_name: str, scheme: str = "auto") -> ChainSpec:
     """Map a precoder selector plus optional scheme override to a recipe."""
-    if precoder_name not in _CHAIN_DEFAULTS:
+    if precoder_name not in CHAINS:
         raise ConfigError(f"unknown precoder selector {precoder_name!r}")
-    family, budget_kind, default_scheme, pa_mode, zf_variant = _CHAIN_DEFAULTS[precoder_name]
-    if scheme != "auto":
-        default_scheme = scheme
+    family, budget_kind, default_scheme, pa_mode = CHAINS[precoder_name]
     return ChainSpec(family=family, budget_kind=budget_kind,
-                     scheme=default_scheme, pa_mode=pa_mode, zf_variant=zf_variant)
+                     scheme=default_scheme if scheme == "auto" else scheme, pa_mode=pa_mode)
 
 
 @dataclass(frozen=True)
@@ -134,6 +114,7 @@ class _Context:
     rx_filter: RrcFilter
     const: QamConstellation
     budget: ShapingBudget      # PA input disk chi and its distortion psi
+    modulator: Optional[ModulatorConfig]   # None when the scheme is "none"
     bound: float               # amplitude budget handed to the precoder
 
 
@@ -144,11 +125,15 @@ def build_context(cfg: ExperimentConfig) -> _Context:
     geom = UlaGeometry(n=sys_.n, d_over_lambda=sys_.d_over_lambda)
     rx_filter = RrcFilter(rolloff=sys_.rrc_rolloff, span=sys_.rrc_span_ts)
     budget = ShapingBudget.from_pa(cfg.pa, cfg.chi_value)
+    modulator = None
+    if chain.scheme != "none":
+        try:
+            modulator = ModulatorConfig.from_scheme(chain.scheme, cfg.pa, budget)
+        except ValueError as exc:
+            raise ConfigError(f"scheme {chain.scheme!r} with this PA and chi: {exc}") from exc
 
     if chain.budget_kind == "headroom":
-        bound = budget.chi - budget.psi
-        if chain.scheme in ("sd2", "tsd2"):
-            bound = budget.chi - 3.0 * budget.psi
+        bound = budget.headroom if modulator is None else modulator.input_bound
         if bound <= 0:
             raise ConfigError("no-overloading budget is empty for this PA and chi")
     elif chain.budget_kind == "backoff":
@@ -156,13 +141,18 @@ def build_context(cfg: ExperimentConfig) -> _Context:
     else:  # total power reference amplitude
         bound = cfg.pa.r_max
     return _Context(cfg=cfg, chain=chain, ofdm=ofdm, geom=geom, rx_filter=rx_filter,
-                    const=QamConstellation(d=sys_.qam_d), budget=budget, bound=bound)
+                    const=QamConstellation(d=sys_.qam_d), budget=budget,
+                    modulator=modulator, bound=bound)
 
 
-def _draw_trial_channel(ctx: _Context, rng: np.random.Generator) -> ChannelRealization:
+def _draw_trial_channel(ctx: _Context, rng: np.random.Generator,
+                        l_taps: Optional[int] = None) -> ChannelRealization:
+    """The run's channel draw, with the configured tap count unless `l_taps`
+    is given."""
     sys_ = ctx.cfg.system
     return draw_channel(
-        rng, ctx.geom, ctx.ofdm, sys_.k, sys_.j_paths, sys_.l_taps,
+        rng, ctx.geom, ctx.ofdm, sys_.k, sys_.j_paths,
+        sys_.l_taps if l_taps is None else l_taps,
         rx_filter=ctx.rx_filter, pa_gain=ctx.cfg.pa.gain,
         angle_spread_deg=sys_.angle_spread_deg,
         delay_range_ts=(sys_.delay_min_ts, sys_.delay_max_ts),
@@ -180,13 +170,10 @@ def _measured_distortion_power(ctx: _Context, chan: ChannelRealization,
     will have).  Depends only on the channel and the block, not on the
     noise level.
     """
-    if ctx.chain.scheme == "none":
+    if ctx.modulator is None:
         return np.zeros(chan.n_users)
-    mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OverloadWarning)
-        _, q, _ = modulate(mod_cfg, zf.x.with_cp)
-    shaped = q[:q.shape[0] - mod_cfg.n_tail]
+    _, q, _ = _modulate_quietly(ctx.modulator, zf.x.with_cp)
+    shaped = q[:q.shape[0] - ctx.modulator.n_tail]
     m2 = float(np.mean(np.abs(shaped) ** 2))
     psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
     return distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
@@ -222,8 +209,18 @@ def _slp_solve(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
 def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
              sigma_v2: float) -> PrecodeResult:
     if ctx.chain.family == "zf":
-        return zf_precode(chan, symbols, ctx.bound, variant=ctx.chain.zf_variant)
+        # every budget but total power scales to a peak amplitude
+        variant = "total-power" if ctx.chain.budget_kind == "total-power" else "sigma-delta"
+        return zf_precode(chan, symbols, ctx.bound, variant=variant)
     return _slp_solve(ctx, chan, symbols, _slp_start(ctx, chan, symbols), sigma_v2)
+
+
+def _modulate_quietly(mod: ModulatorConfig, x: np.ndarray):
+    """:func:`modulate` without its :class:`OverloadWarning`: the chain
+    counts overloads itself (in ``ber.csv``), once per block."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverloadWarning)
+        return modulate(mod, x)
 
 
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
@@ -231,12 +228,9 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     of modulator input samples over the no-overloading bound."""
     x_cp = x_grid.with_cp
     pa = ctx.cfg.pa
-    if ctx.chain.scheme != "none":
-        mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, pa, ctx.budget)
-        n_over = count_overloads(mod_cfg, x_cp)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OverloadWarning)
-            u, _, _ = modulate(mod_cfg, x_cp)
+    if ctx.modulator is not None:
+        n_over = count_overloads(ctx.modulator, x_cp)
+        u, _, _ = _modulate_quietly(ctx.modulator, x_cp)
         return u, n_over
     linear = PaModel.ideal(pa.gain, pa.r_max)
     if ctx.chain.pa_mode == "ideal":
@@ -351,12 +345,7 @@ def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
     sys_ = cfg.system
     rng = substream(cfg.run.seed, 2**40)
     l_full = int(math.ceil(sys_.delay_max_ts + sys_.rrc_span_ts)) + 2
-    chan = draw_channel(
-        rng, ctx.geom, ctx.ofdm, sys_.k, sys_.j_paths, l_full,
-        rx_filter=ctx.rx_filter, pa_gain=cfg.pa.gain,
-        angle_spread_deg=sys_.angle_spread_deg,
-        delay_range_ts=(sys_.delay_min_ts, sys_.delay_max_ts),
-    )
+    chan = _draw_trial_channel(ctx, rng, l_full)
     scale = 0.5 * cfg.pa.r_max / math.sqrt(sys_.n * ctx.ofdm.m)
     z = scale * (rng.standard_normal((sys_.n, ctx.ofdm.m_s))
                  + 1j * rng.standard_normal((sys_.n, ctx.ofdm.m_s)))
@@ -369,6 +358,15 @@ def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
     if err > rel_tol:
         raise RuntimeError(f"linear-chain self check failed: relative error {err:.3g}")
     return err
+
+
+def _attempt_trial(ctx: _Context, trial: int) -> Tuple[Optional[_TrialTally],
+                                                      Optional[Exception]]:
+    """One trial's tally, or the exception it raised (per-trial isolation)."""
+    try:
+        return _run_trial(ctx, trial), None
+    except Exception as exc:  # noqa: BLE001 - per-trial isolation
+        return None, exc
 
 
 def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
@@ -390,28 +388,21 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     if cfg.run.self_check:
         self_check_linear_chain(ctx)
 
-    tallies: List[Optional[_TrialTally]] = [None] * cfg.run.trials
-    failures = 0
+    trials = range(cfg.run.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {t: pool.submit(_run_trial, ctx, t) for t in range(cfg.run.trials)}
-            for t, fut in futs.items():
-                try:
-                    tallies[t] = fut.result()
-                except Exception as exc:  # noqa: BLE001 - per-trial isolation
-                    failures += 1
-                    warnings.warn(f"trial {t} failed and was excluded: {exc}")
+            attempts = list(pool.map(_attempt_trial, [ctx] * len(trials), trials))
     else:
-        for t in range(cfg.run.trials):
-            try:
-                tallies[t] = _run_trial(ctx, t)
-            except Exception as exc:  # noqa: BLE001 - per-trial isolation
-                failures += 1
-                warnings.warn(f"trial {t} failed and was excluded: {exc}")
+        attempts = [_attempt_trial(ctx, t) for t in trials]
+    good = []
+    for t, (tally, exc) in zip(trials, attempts):
+        if exc is None:
+            good.append(tally)
+        else:
+            warnings.warn(f"trial {t} failed and was excluded: {exc}")
+    failures = len(trials) - len(good)
     if failures:
         warnings.warn(f"{failures} of {cfg.run.trials} trials failed")
-
-    good = [t for t in tallies if t is not None]
     if not good:
         raise RuntimeError("all trials failed")
 
@@ -497,11 +488,10 @@ def run_shaping_spectrum(cfg: ExperimentConfig,
     the closed-form shaped-power expression for the configured scheme.
     """
     ctx = build_context(cfg)
-    if ctx.chain.scheme == "none":
+    if ctx.modulator is None:
         raise ConfigError("shaping spectrum requires a sigma-delta scheme (sd1/tsd1/sd2/tsd2)")
     angles = tuple(cfg.run.spectrum_angles_deg if angles_deg is None else angles_deg)
-    mod_cfg = ModulatorConfig.from_scheme(ctx.chain.scheme, ctx.cfg.pa, ctx.budget)
-    bound = mod_cfg.input_bound
+    bound = ctx.modulator.input_bound
     rng = substream(cfg.run.seed, 1)
     n = ctx.geom.n
 
@@ -511,7 +501,7 @@ def run_shaping_spectrum(cfg: ExperimentConfig,
     for _frame in range(cfg.run.spectrum_frames):
         phase = rng.uniform(-np.pi, np.pi, size=(n, cfg.run.spectrum_samples))
         x = bound * np.exp(1j * phase)
-        u, _, _ = modulate(mod_cfg, x)
+        u, _, _ = modulate(ctx.modulator, x)
         resid = u - ctx.cfg.pa.gain * x
         beams = steer @ resid                      # (angles, samples)
         acc += np.sum(np.abs(beams) ** 2, axis=1)

@@ -7,8 +7,10 @@ provided, each with an optional tail-removing variant that puts ideal
 (linear) PAs on the last one or two antennas so that the unshaped tail
 distortion vanishes.
 
-Both orders run one error-feedback recurrence,
-``b_n = x_n - sum_k c_k q_{n-k}``, with coefficients (1) or (2, -1).
+:data:`SCHEMES` maps each scheme name to its loop order and tail
+removal.  Both orders run one error-feedback recurrence,
+``b_n = x_n - sum_k c_k q_{n-k}``, with coefficients (1) or (2, -1), and
+:func:`shaped_power` is the one closed form of their shaped distortion.
 All frames are complex arrays of shape (n_antennas, n_samples); the
 recurrence is sequential in the antenna index and vectorized over time
 samples.  State is local to one call: the error feedback starts from
@@ -34,10 +36,18 @@ __all__ = [
     "modulate_first_order",
     "modulate_second_order",
     "count_overloads",
+    "shaped_power",
     "shaped_distortion_power",
 ]
 
-SCHEMES = ("sd1", "tsd1", "sd2", "tsd2")
+# scheme name -> (loop order, tail removing)
+SCHEMES = {"sd1": (1, False), "tsd1": (1, True), "sd2": (2, False), "tsd2": (2, True)}
+
+
+def _scheme(name: str) -> Tuple[int, bool]:
+    if name not in SCHEMES:
+        raise ValueError(f"unknown modulator scheme {name!r} (expected one of {tuple(SCHEMES)})")
+    return SCHEMES[name]
 
 
 @dataclass(frozen=True)
@@ -60,14 +70,8 @@ class ModulatorConfig:
 
     @classmethod
     def from_scheme(cls, scheme: str, pa: PaModel, budget: ShapingBudget) -> "ModulatorConfig":
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown modulator scheme {scheme!r}")
-        return cls(
-            order=1 if scheme in ("sd1", "tsd1") else 2,
-            tail_removing=scheme.startswith("t"),
-            pa=pa,
-            budget=budget,
-        )
+        order, tail_removing = _scheme(scheme)
+        return cls(order=order, tail_removing=tail_removing, pa=pa, budget=budget)
 
     @property
     def n_tail(self) -> int:
@@ -79,7 +83,7 @@ class ModulatorConfig:
     def input_bound(self) -> float:
         """Largest input amplitude with a no-overloading guarantee."""
         if self.order == 1:
-            return self.budget.chi - self.budget.psi
+            return self.budget.headroom
         return self.budget.chi - 3.0 * self.budget.psi
 
 
@@ -182,6 +186,38 @@ def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     return u, q, b
 
 
+def shaped_power(scheme: str, n_antennas: int, base: float,
+                 weights: np.ndarray, half_w: np.ndarray) -> np.ndarray:
+    """The closed-form shaped distortion power of `scheme`, summed over the
+    last axis of `weights` and `half_w`.
+
+    ``base`` is the unshaped power of one antenna, ``half_w`` the half
+    spatial frequencies ``pi (d/lambda) sin(theta)`` and ``weights`` their
+    power weights.  With ``s2 = sin^2(half_w)`` and ``w = 2 half_w``:
+
+    * ``"sd1"``  : 4 (N-1) base sum(weights s2) + base sum(weights)
+                   (the last term is the unshaped tail antenna)
+    * ``"tsd1"`` : the sd1 expression without the tail term
+    * ``"tsd2"`` : 16 (N-2) base sum(weights s2^2), i.e. the squared
+                   second-difference high-pass gain |1 - exp(-j w)|^4
+                   applied to the N-2 shaped antennas
+    * ``"sd2"``  : the tsd2 expression plus the two unshaped edge
+                   antennas, base sum(weights (|1 - 2 e^{-j w}|^2 + 1))
+    """
+    order, tail_removing = _scheme(scheme)
+    s2 = np.sin(half_w) ** 2
+    if order == 1:
+        shaped = 4.0 * (n_antennas - 1) * base * np.sum(weights * s2, axis=-1)
+        edge = weights
+    else:
+        shaped = 16.0 * (n_antennas - 2) * base * np.sum(weights * s2 * s2, axis=-1)
+        w = 2.0 * half_w
+        edge = weights * (np.abs(1.0 - 2.0 * np.exp(-1j * w)) ** 2 + 1.0)
+    if tail_removing:
+        return shaped
+    return shaped + base * np.sum(edge, axis=-1)
+
+
 def shaped_distortion_power(
     theta: float,
     d_over_lambda: float,
@@ -193,35 +229,17 @@ def shaped_distortion_power(
     """Closed-form prediction of the beamformed distortion power at angle `theta`.
 
     Under the i.i.d. distortion model (amplitude uniform on [0, psi],
-    phase uniform, independent across antennas, so E|q|^2 = psi^2/3):
-
-    * ``"sd1"``   : 4 (N-1) A^2 psi^2 / 3 * sin^2(pi d/lambda sin(theta))
-                    + A^2 psi^2 / 3                    (unshaped tail term)
-    * ``"tsd1"``  : the sd1 expression without the tail term
-    * ``"tsd2"``  : 16 (N-2) A^2 psi^2 / 3 * sin^4(pi d/lambda sin(theta)),
-                    i.e. the squared second-difference high-pass gain
-                    |1 - exp(-j w)|^4 applied to the N-2 shaped antennas
-    * ``"sd2"``   : the tsd2 expression plus the two unshaped edge
-                    antennas, A^2 psi^2/3 * (|1 - 2 e^{-j w}|^2 + 1)
+    phase uniform, independent across antennas, so E|q|^2 = psi^2/3),
+    this is :func:`shaped_power` at the single half frequency
+    ``pi (d/lambda) sin(theta)`` with unit weight and
+    ``base = A^2 psi^2 / 3``.
 
     `theta` is in radians; `n_antennas` must be at least 2 (3 for the
     second-order schemes).
     """
-    if n_antennas < 2:
-        raise ValueError("need at least 2 antennas")
-    half_w = math.pi * d_over_lambda * math.sin(theta)
-    s2 = math.sin(half_w) ** 2
-    base = gain**2 * psi**2 / 3.0
-    if scheme == "sd1":
-        return 4.0 * (n_antennas - 1) * base * s2 + base
-    if scheme == "tsd1":
-        return 4.0 * (n_antennas - 1) * base * s2
-    if scheme in ("sd2", "tsd2"):
-        if n_antennas < 3:
-            raise ValueError("second-order schemes need at least 3 antennas")
-        shaped = 16.0 * (n_antennas - 2) * base * s2 * s2
-        if scheme == "tsd2":
-            return shaped
-        edge = abs(1.0 - 2.0 * complex(math.cos(2 * half_w), -math.sin(2 * half_w))) ** 2
-        return shaped + base * (edge + 1.0)
-    raise ValueError(f"unknown scheme {scheme!r} (expected sd1, tsd1, sd2 or tsd2)")
+    order, _ = _scheme(scheme)
+    if n_antennas <= order:
+        raise ValueError(f"{scheme} needs at least {order + 1} antennas")
+    half_w = np.array([math.pi * d_over_lambda * math.sin(theta)])
+    return float(shaped_power(scheme, n_antennas, gain**2 * psi**2 / 3.0,
+                              np.ones(1), half_w))

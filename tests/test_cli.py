@@ -164,3 +164,17 @@ def test_pa_curves_ideal_has_no_marker(tmp_path):
     assert cmd_dispatch(["pa-curves", "--config", str(cfg), "--out", str(out)]) == 0
     rows = list(csv.DictReader((out / "pa_curves.csv").open()))
     assert all(r["is_r1db"] == "0" for r in rows)
+
+
+def test_empty_modulator_budget_exits_3_under_backoff(tmp_path, capsys):
+    # a TWTA at chi = 0.3 has psi = 0.219, so chi - 3 psi < 0: the sd2 loop
+    # has no admissible input whatever amplitude the back-off budget allows
+    doc = {"system": {"n": 4, "k": 2, "m": 64, "m_s": 40},
+           "pa": {"kind": "twta"}, "chi": 0.3, "scheme": "sd2",
+           "precoder": {"name": "zf-bo"}, "noise": {"sigma_v2": [1e-3]},
+           "run": {"trials": 2, "blocks_per_trial": 1, "self_check": False}}
+    cfg = tmp_path / "twta.json"
+    cfg.write_text(json.dumps(doc))
+    code = cmd_dispatch(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"

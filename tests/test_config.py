@@ -126,3 +126,23 @@ def test_round_trip_through_dict(tmp_path):
 
 def test_default_config_is_valid():
     assert isinstance(config_from_dict({}), ExperimentConfig)
+
+
+_RAPP_DEFAULTS = {"A": 16.0, "r_max": 0.1187, "phi": 1.1, "zeta": 4.0,
+                  "B": -345.0, "C": 0.17}
+
+
+@pytest.mark.parametrize("block,expected", [
+    ({"kind": "ideal", "A": 10.0}, {"kind": "ideal", **_RAPP_DEFAULTS, "A": 10.0}),
+    ({"kind": "twta", "r_max": 0.2}, {"kind": "twta", **_RAPP_DEFAULTS, "r_max": 0.2}),
+    ({"phi": 2.0, "C": 0.3}, {"kind": "modified_rapp", **_RAPP_DEFAULTS,
+                              "phi": 2.0, "C": 0.3}),
+])
+def test_pa_section_round_trip_per_kind(block, expected):
+    # keys left out take the default Rapp parameters, and the snapshot
+    # written to manifest.json lists every key in this order
+    doc = {**_minimal(), "pa": block}
+    snapshot = config_to_dict(config_from_dict(doc))["pa"]
+    assert snapshot == expected
+    assert list(snapshot) == ["kind", "A", "r_max", "phi", "zeta", "B", "C"]
+    assert config_from_dict({**doc, "pa": snapshot}) == config_from_dict(doc)

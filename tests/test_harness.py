@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sdmimo.channel import add_noise, propagate
-from sdmimo.config import config_from_dict
+from sdmimo.config import PRECODER_NAMES, config_from_dict
 from sdmimo.errors import ConfigError
 from sdmimo.harness import (
     build_context,
@@ -319,3 +319,12 @@ def test_failed_trials_are_excluded_with_warning(monkeypatch):
         records = run_ber(cfg)
     assert records[0].bits > 0
     assert [r.failed_trials for r in records] == [1, 1]
+
+
+@pytest.mark.parametrize("name", PRECODER_NAMES)
+def test_every_selector_runs(name):
+    assert resolve_chain(name).family == name.split("-")[0]
+    (rec,) = run_ber(config_from_dict({**_tiny_doc(name, trials=1),
+                                       "noise": {"sigma_v2": [1e-3]}}))
+    assert np.isfinite(rec.ber) and np.isfinite(rec.mean_beta)
+    assert rec.precoder == name and rec.failed_trials == 0

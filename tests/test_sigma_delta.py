@@ -321,3 +321,22 @@ def test_nonfinite_pa_input_rejected(rapp_pa, value):
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="finite"):
             modulate(_cfg(rapp_pa), x)
+
+
+@pytest.mark.parametrize("scheme", ["sd1", "tsd1", "sd2", "tsd2"])
+@pytest.mark.parametrize("theta_deg", [7.0, 25.0, -48.0])
+def test_shaped_power_per_angle_hand_values(scheme, theta_deg):
+    n, d_over_lambda, gain, psi = 12, 0.3, 16.0, 0.03
+    w = 2.0 * math.pi * d_over_lambda * math.sin(math.radians(theta_deg))
+    base = gain**2 * psi**2 / 3.0
+    s2 = math.sin(w / 2.0) ** 2
+    expected = {
+        "sd1": 4.0 * (n - 1) * base * s2 + base,
+        "tsd1": 4.0 * (n - 1) * base * s2,
+        # |1 - 2 e^{-jw}|^2 = 5 - 4 cos w for the two unshaped edge antennas
+        "sd2": 16.0 * (n - 2) * base * s2**2 + base * (5.0 - 4.0 * math.cos(w) + 1.0),
+        "tsd2": 16.0 * (n - 2) * base * s2**2,
+    }[scheme]
+    got = shaped_distortion_power(math.radians(theta_deg), d_over_lambda, n, gain, psi,
+                                  scheme)
+    assert got == pytest.approx(expected, rel=1e-12)
