@@ -57,6 +57,8 @@ def _error_json(kind: str, message: str) -> None:
 def _apply_overrides(cfg: ExperimentConfig, seed: Optional[int]) -> ExperimentConfig:
     if seed is None:
         return cfg
+    if seed < 0:
+        raise ConfigError("--seed must be >= 0")
     run = dataclasses.replace(cfg.run, seed=seed)
     return dataclasses.replace(cfg, run=run)
 

@@ -12,6 +12,7 @@ raise :class:`ConfigError` naming the offending section and key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -138,17 +139,23 @@ def _pa_from_dict(block: dict) -> PaModel:
 def _noise_from_dict(block: dict) -> Tuple[float, ...]:
     if "sigma_v2" in block and "inv_sigma_v2_db" in block:
         raise ConfigError("section 'noise': give either sigma_v2 or inv_sigma_v2_db, not both")
-    if "sigma_v2" in block:
-        values = [float(v) for v in block["sigma_v2"]]
-    elif "inv_sigma_v2_db" in block:
-        values = [10.0 ** (-float(db) / 10.0) for db in block["inv_sigma_v2_db"]]
-    else:
+    if not ("sigma_v2" in block or "inv_sigma_v2_db" in block):
         raise ConfigError("section 'noise' needs sigma_v2 or inv_sigma_v2_db")
+    try:
+        if "sigma_v2" in block:
+            values = [float(v) for v in block["sigma_v2"]]
+        else:
+            values = [10.0 ** (-float(db) / 10.0) for db in block["inv_sigma_v2_db"]]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid 'noise' section: {exc}") from exc
     bad = set(block) - {"sigma_v2", "inv_sigma_v2_db"}
     if bad:
         raise ConfigError(f"unknown key(s) in section 'noise': {sorted(bad)}")
-    if any(v < 0 for v in values):
-        raise ConfigError("noise variances must be nonnegative")
+    if not values:
+        raise ConfigError("section 'noise' needs at least one noise point")
+    # sigma_v2 = 0 (inv_sigma_v2_db = inf) is the noise-free point
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ConfigError("noise variances must be finite and nonnegative")
     return tuple(values)
 
 
@@ -193,6 +200,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("system: d_over_lambda must lie in (0, 1/2]")
     if sys_.qam_d < 1:
         raise ConfigError("system: qam_d must be >= 1")
+    if sys_.j_paths < 1 or sys_.l_taps < 1:
+        raise ConfigError("system: j_paths and l_taps must be >= 1")
     if sys_.delay_max_ts < sys_.delay_min_ts or sys_.delay_min_ts < 0:
         raise ConfigError("system: delay range must satisfy 0 <= min <= max")
     if sys_.delay_max_ts + sys_.rrc_span_ts > sys_.m_cp:
@@ -203,8 +212,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"system: {exc}") from exc
     if cfg.run.trials < 1 or cfg.run.blocks_per_trial < 1:
         raise ConfigError("run: trials and blocks_per_trial must be >= 1")
-    if cfg.chi_value <= 0:
-        raise ConfigError("chi must be positive")
+    if cfg.run.seed < 0:
+        raise ConfigError("run: seed must be >= 0")
+    if not (math.isfinite(cfg.chi_value) and cfg.chi_value > 0):
+        raise ConfigError("chi must be finite and positive")
     pc = cfg.precoder
     if pc.admm_max_iter < 1 or pc.apg_max_iter < 1:
         raise ConfigError("precoder: admm_max_iter and apg_max_iter must be >= 1")

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -390,6 +389,8 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
 
     trials = range(cfg.run.trials)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             attempts = list(pool.map(_attempt_trial, [ctx] * len(trials), trials))
     else:

@@ -5,6 +5,13 @@ precoder.
 The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 [-(2D-1), 2D-1]}, i.e. 4*D^2 points.  Detection is per-axis nearest odd
 integer with clipping; exact mid-ties round toward zero.
+
+Only the symbol-level precoder evaluates the Gaussian CDF, so
+``scipy.special.ndtr`` is imported inside the two functions that call
+it: ``import sdmimo`` then loads numpy and the standard library only,
+and a run with no ``slp-*`` selector never loads SciPy (its import is
+about half of a ZF run's start-up).  An SLP run pays the same import
+once, at its first objective evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "QamConstellation",
@@ -67,7 +73,10 @@ def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
     """Decide symbols from received values: per-axis nearest level of r/beta.
 
     Scaling invariant: ``detect(c*r, c*beta)`` equals ``detect(r, beta)``
-    for any c > 0.
+    bit for bit when c is a power of two (and nothing overflows or
+    underflows), since then ``c*r / (c*beta)`` rounds to ``r / beta``.  A
+    general c > 0 can move the quotient of a point that sits on a
+    decision boundary by one ulp, and so its decision by one level.
     """
     if np.any(np.asarray(beta) <= 0):
         raise ValueError("beta must be positive")
@@ -92,6 +101,8 @@ def dp_real_component(
     * top level (s = 2d-1):         Phi(-sqrt(2) c / sigma)
     * bottom level (s = -(2d-1)):   Phi(sqrt(2) a / sigma)
     """
+    from scipy.special import ndtr
+
     if sigma_eta <= 0:
         raise ValueError("sigma_eta must be positive")
     s = int(s_component)
@@ -131,6 +142,8 @@ def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
     exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x`` in IEEE
     arithmetic.
     """
+    from scipy.special import ndtr
+
     s = np.asarray(s_axis, dtype=float)
     v = np.asarray(v_axis, dtype=float)
     rt2 = np.sqrt(2.0)

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sdmimo
 from sdmimo.cli import cmd_dispatch
 from sdmimo.pa import PaModel, compute_r1db
 from sdmimo.report import wilson_interval
@@ -178,3 +183,78 @@ def test_empty_modulator_budget_exits_3_under_backoff(tmp_path, capsys):
     code = cmd_dispatch(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("argv_extra,edit", [
+    ([], {"noise": {"sigma_v2": [float("nan")]}}),
+    (["--seed", "-1"], {}),
+], ids=["sigma_v2-nan", "seed-override-negative"])
+def test_invalid_values_exit_3(tiny_config, tmp_path, capsys, argv_extra, edit):
+    doc = {**json.loads(tiny_config.read_text()), **edit}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))    # NaN is written as the JSON literal NaN
+    code = cmd_dispatch(["ber", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         *argv_extra])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("precoder", ["zf-tsd", "slp-tsd"])
+def test_ber_outputs_identical_across_thread_counts(tiny_config, tmp_path, precoder):
+    doc = json.loads(tiny_config.read_text())
+    doc["precoder"] = {"name": precoder}
+    doc["run"]["trials"] = 3
+    cfg = tmp_path / f"{precoder}.json"
+    cfg.write_text(json.dumps(doc))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert cmd_dispatch(["ber", "--config", str(cfg), "--out", str(out),
+                             "--threads", threads]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        del manifest["started_utc"], manifest["finished_utc"]
+        outs.append(((out / "ber.csv").read_bytes(), manifest))
+    assert outs[0] == outs[1]
+
+
+_COLD_START_SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+import sdmimo
+from sdmimo.cli import cmd_dispatch
+
+tmp = Path(sys.argv[1])
+for command in ("pa-curves", "shaping-spectrum", "scatter", "ber"):
+    code = cmd_dispatch([command, "--config", sys.argv[2], "--out", str(tmp / command)])
+    assert code == 0, (command, code)
+loaded = sorted(m for m in sys.modules
+                if m == "scipy" or m.startswith("scipy.") or m.startswith("concurrent.futures"))
+
+from sdmimo.channel import RrcFilter, UlaGeometry, draw_channel
+from sdmimo.ofdm import OfdmParams
+from sdmimo.precoding import slp_objective
+from sdmimo.qam import QamConstellation
+
+rng = np.random.default_rng(0)
+chan = draw_channel(rng, UlaGeometry(n=4, d_over_lambda=0.125),
+                    OfdmParams(m=64, m_s=40, m_cp=40, osf=7), 2, 4, 20,
+                    rx_filter=RrcFilter(), pa_gain=16.0)
+symbols = QamConstellation(2).random_symbols(rng, (2, 40))
+f = slp_objective(np.ones(2), np.zeros((4, 40), dtype=complex), chan, symbols, np.ones(2))
+print(json.dumps({"loaded": loaded, "finite": bool(np.isfinite(f)),
+                  "special_after_slp": "scipy.special" in sys.modules}))
+"""
+
+
+def test_zf_runs_load_no_scipy_and_no_process_pool(tiny_config, tmp_path):
+    # import sdmimo and every non-SLP command stay at numpy's start-up cost;
+    # SciPy arrives with the first symbol-level objective evaluation
+    env = dict(os.environ, PYTHONPATH=str(Path(sdmimo.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path),
+                          str(tiny_config)], env=env, check=True, capture_output=True,
+                         text=True, timeout=300)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"loaded": [], "finite": True, "special_after_slp": True}

@@ -146,3 +146,30 @@ def test_pa_section_round_trip_per_kind(block, expected):
     assert snapshot == expected
     assert list(snapshot) == ["kind", "A", "r_max", "phi", "zeta", "B", "C"]
     assert config_from_dict({**doc, "pa": snapshot}) == config_from_dict(doc)
+
+
+@pytest.mark.parametrize("section,value", [
+    ("noise", {"sigma_v2": [float("nan")]}),
+    ("noise", {"sigma_v2": [1e-3, float("inf")]}),
+    ("noise", {"inv_sigma_v2_db": [-float("inf")]}),   # JSON -1e400: sigma_v2 = inf
+    ("noise", {"inv_sigma_v2_db": [-4000.0]}),          # 10^400 overflows
+    ("noise", {"inv_sigma_v2_db": [float("nan")]}),
+    ("noise", {"sigma_v2": []}),
+    ("noise", {"inv_sigma_v2_db": []}),
+    ("chi", float("nan")),
+    ("chi", float("inf")),
+    ("run", {**_minimal()["run"], "seed": -1}),
+    ("system", {**_minimal()["system"], "l_taps": 0}),
+    ("system", {**_minimal()["system"], "j_paths": 0}),
+], ids=["sigma_v2-nan", "sigma_v2-inf", "db-minus-inf", "db-overflow", "db-nan",
+        "sigma_v2-empty", "db-empty", "chi-nan", "chi-inf", "seed-negative",
+        "l_taps-0", "j_paths-0"])
+def test_invalid_values_rejected(section, value):
+    with pytest.raises(ConfigError):
+        config_from_dict({**_minimal(), section: value})
+
+
+def test_noise_free_point_in_db_accepted():
+    doc = _minimal()
+    doc["noise"] = {"inv_sigma_v2_db": [float("inf"), 20.0]}
+    assert config_from_dict(doc).sigma_v2 == pytest.approx((0.0, 0.01))

@@ -56,6 +56,39 @@ def test_detect_scaling_invariance():
         assert np.array_equal(detect(c * r, c, const), detect(r, 1.0, const))
 
 
+# normalized received components: the decision boundaries 0, +-2, +-4 and
+# points off them, none so small that a power-of-two scaling underflows
+_NORMALIZED_AXIS = st.one_of(
+    st.sampled_from([-4.0, -2.0, 0.0, 2.0, 4.0]),
+    st.floats(-8.0, 8.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100),
+)
+# a received component: beta times a normalized one, moved by -1, 0 or +1 ulp
+# unless zero (one ulp off zero is subnormal)
+_RECEIVED_AXIS = st.tuples(_NORMALIZED_AXIS, st.integers(-1, 1))
+
+
+def _received(axis, beta):
+    z, ulps = (np.array(col) for col in zip(*axis))
+    v = z * beta
+    return np.where((ulps == 0) | (v == 0), v,
+                    np.nextafter(v, np.where(ulps > 0, np.inf, -np.inf)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(-40, 40),
+       entries=st.lists(st.tuples(_RECEIVED_AXIS, _RECEIVED_AXIS, st.floats(1e-3, 1e3)),
+                        min_size=1, max_size=40))
+def test_detect_invariant_under_power_of_two_scaling(d, k, entries):
+    # scaling r and beta by 2^k is exact, so c r / (c beta) rounds to r / beta
+    # and every decision, on and next to the boundaries, is bit-identical
+    const = QamConstellation(d)
+    re, im, beta = zip(*entries)
+    beta = np.array(beta)
+    r = _received(re, beta) + 1j * _received(im, beta)
+    c = 2.0 ** k
+    assert np.array_equal(detect(c * r, c * beta, const), detect(r, beta, const))
+
+
 def test_detect_midpoint_ties_round_toward_zero():
     const = QamConstellation(d=2)
     assert detect(2.0 + 0j, 1.0, const).real == 1.0

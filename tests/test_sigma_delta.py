@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -340,3 +340,49 @@ def test_shaped_power_per_angle_hand_values(scheme, theta_deg):
     got = shaped_distortion_power(math.radians(theta_deg), d_over_lambda, n, gain, psi,
                                   scheme)
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+# random PAs around the 3GPP modified Rapp fit, and the TWTA at any r_max
+_RANDOM_PAS = st.one_of(
+    st.builds(PaModel.modified_rapp, gain=st.just(16.0), r_max=st.floats(0.02, 1.0),
+              phi=st.floats(0.3, 5.0), zeta=st.floats(0.5, 8.0),
+              b=st.floats(-1000.0, 1000.0), c=st.floats(0.02, 1.0)),
+    st.builds(PaModel.twta, gain=st.just(16.0), r_max=st.floats(0.02, 1.0)),
+)
+
+
+def _polar_frames(min_antennas: int):
+    """(amplitude, phase) arrays of a modulator frame, before scaling to the bound."""
+    return st.tuples(st.integers(min_antennas, 16), st.integers(1, 16)).flatmap(
+        lambda shape: st.tuples(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)),
+                                arrays(np.float64, shape, elements=st.floats(-np.pi, np.pi))))
+
+
+@pytest.mark.parametrize("scheme", ("sd1", "tsd1", "sd2", "tsd2"))
+@settings(max_examples=80, deadline=None)
+@given(pa=_RANDOM_PAS, chi_frac=st.floats(1e-6, 1.0), constant_envelope=st.booleans(),
+       data=st.data())
+def test_no_overloading_bounds_and_loop_identity_over_random_pas(
+        scheme, pa, chi_frac, constant_envelope, data):
+    # an input whose peak sits on the input bound keeps every PA input within
+    # chi and every distortion sample within psi; the slack is compute_psi's
+    # 1e-6 absolute accuracy, tripled for |b| <= |x| + 2|q_{n-1}| + |q_{n-2}|
+    budget = ShapingBudget.from_pa(pa, chi_frac * pa.r_max)
+    order, _ = sigma_delta.SCHEMES[scheme]
+    assume(budget.chi - (1.0 if order == 1 else 3.0) * budget.psi > 0)
+    cfg = ModulatorConfig.from_scheme(scheme, pa, budget)
+    amp, phase = data.draw(_polar_frames(order + 1))
+    x = (np.ones_like(amp) if constant_envelope else amp) * np.exp(1j * phase)
+    assume(np.abs(x).max() > 1e-100)
+    x *= cfg.input_bound / np.abs(x).max()
+    assert count_overloads(cfg, x) == 0
+    u, q, b = modulate(cfg, x)
+    assert np.abs(b).max() <= budget.chi + 3e-6
+    assert np.abs(q).max() <= budget.psi + 1e-6
+    # u_n = A (x_n + q_n - sum_k c_k q_{n-k}), the loop identity of either order
+    pad = np.zeros((2, x.shape[1]))
+    q1 = np.vstack([pad[:1], q[:-1]])
+    q2 = np.vstack([pad, q[:-2]])
+    feedback = q1 if order == 1 else 2.0 * q1 - q2
+    resid = u - pa.gain * (x + q - feedback)
+    assert np.abs(resid).max() <= 1e-12 * np.abs(u).max()
