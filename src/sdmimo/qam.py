@@ -4,7 +4,8 @@ precoder.
 
 The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 [-(2D-1), 2D-1]}, i.e. 4*D^2 points.  Detection is per-axis nearest odd
-integer with clipping; exact mid-ties round toward zero.
+integer with clipping; exact mid-ties round toward zero, and a component
+of exactly zero (a tie between -1 and +1) decides -1.
 
 Only the symbol-level precoder evaluates the Gaussian CDF, so
 ``scipy.special.ndtr`` is imported inside the two functions that call
@@ -62,11 +63,12 @@ class QamConstellation:
         return lv[re].astype(float) + 1j * lv[im].astype(float)
 
 
-def _nearest_odd_toward_zero(x: np.ndarray) -> np.ndarray:
-    # nearest odd integer; exact ties between two odd levels go toward zero
-    t = (x - 1.0) / 2.0
-    k = np.where(x >= 0, np.ceil(t - 0.5), np.floor(t + 0.5))
-    return k
+def _nearest_level(x: np.ndarray, d: int) -> np.ndarray:
+    # nearest odd level, clipped to +-(2d-1); exact ties go toward zero and
+    # +-0 decides -1.  |x| / 2 is exact (a subnormal may round, but stays
+    # below 1), so every boundary 2j is decided exactly
+    level = 2.0 * np.clip(np.ceil(np.abs(x) / 2.0), 1, d) - 1.0
+    return np.where(x > 0, level, -level)
 
 
 def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
@@ -82,9 +84,7 @@ def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
         raise ValueError("beta must be positive")
     z = np.asarray(r, dtype=complex) / beta
     d = constellation.d
-    k_re = np.clip(_nearest_odd_toward_zero(z.real), -d, d - 1)
-    k_im = np.clip(_nearest_odd_toward_zero(z.imag), -d, d - 1)
-    return (2.0 * k_re + 1.0) + 1j * (2.0 * k_im + 1.0)
+    return _nearest_level(z.real, d) + 1j * _nearest_level(z.imag, d)
 
 
 def dp_real_component(

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +90,53 @@ def test_detect_invariant_under_power_of_two_scaling(d, k, entries):
     r = _received(re, beta) + 1j * _received(im, beta)
     c = 2.0 ** k
     assert np.array_equal(detect(c * r, c * beta, const), detect(r, beta, const))
+
+
+@pytest.mark.parametrize("x,level", [
+    (0.0, -1.0), (-0.0, -1.0), (5e-324, 1.0), (-5e-324, -1.0), (2.2e-308, 1.0),
+    (-2.2e-308, -1.0), (1e-17, 1.0), (-1e-17, -1.0), (1.2e-16, 1.0), (-1.2e-16, -1.0),
+])
+@pytest.mark.parametrize("d", [1, 2])
+def test_detect_near_zero_takes_the_sign(x, level, d):
+    # a component next to zero decides +-1 by its sign; zero itself, a tie
+    # between -1 and +1, decides -1 whatever its sign
+    assert detect(complex(x, x), 1.0, QamConstellation(d)) == complex(level, level)
+
+
+def _exact_level(x: float, d: int) -> float:
+    """Nearest odd integer of x in exact arithmetic, ties toward zero and
+    zero to -1, clipped to +-(2d-1)."""
+    level = 2 * math.ceil(Fraction(abs(x)) / 2) - 1   # (2j - 2, 2j] -> 2j - 1
+    level = min(max(level, 1), 2 * d - 1)
+    return float(level if x > 0 else -level)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), xs=st.lists(st.one_of(
+    st.floats(-10.0, 10.0, allow_subnormal=True),
+    st.tuples(st.integers(-10, 10), st.integers(-1, 1)).map(
+        lambda p: float(np.nextafter(float(p[0]), math.copysign(np.inf, p[1]))
+                        if p[1] else float(p[0])))), min_size=1, max_size=20))
+def test_detect_matches_exact_nearest_level(d, xs):
+    # every decision, on the boundaries, one ulp off them and next to zero,
+    # is the exact-arithmetic nearest level
+    got = detect(np.array(xs) + 0j, 1.0, QamConstellation(d)).real
+    assert list(got) == [_exact_level(v, d) for v in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), k=st.integers(0, 40), sign=st.sampled_from([1.0, -1.0]),
+       ulps=st.integers(0, 3), beta=st.floats(1e-3, 1e3))
+def test_detect_zero_component_invariant_under_power_of_two_scaling(d, k, sign, ulps, beta):
+    # the zero component, on its own and moved by 1-3 ulps, keeps its
+    # decision when r and beta are scaled up by 2^k (exact even for a
+    # subnormal; scaling down would round one)
+    v = sign * 0.0
+    for _ in range(ulps):
+        v = np.nextafter(v, sign * np.inf)
+    r = complex(v, -v)
+    c = 2.0 ** k
+    assert detect(c * r, c * beta, QamConstellation(d)) == detect(r, beta, QamConstellation(d))
 
 
 def test_detect_midpoint_ties_round_toward_zero():
