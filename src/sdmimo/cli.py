@@ -81,30 +81,17 @@ def _pa_curve_rows(cfg: ExperimentConfig, n_points: int):
     return rows
 
 
-def cmd_pa_curves(cfg: ExperimentConfig, out_dir: Path, n_points: int) -> List[str]:
-    rows = _pa_curve_rows(cfg, n_points)
-    path = write_pa_curves_csv(out_dir / "pa_curves.csv", rows)
-    return [path.name]
-
-
-def cmd_ber(cfg: ExperimentConfig, out_dir: Path, workers: int) -> Tuple[List[str], int]:
-    """Write ber.csv; returns the output names and the failed-trial count."""
-    records = run_ber(cfg, workers=workers)
-    path = write_ber_csv(out_dir / "ber.csv", records)
-    return [path.name], records[0].failed_trials
-
-
-def cmd_scatter(cfg: ExperimentConfig, out_dir: Path) -> List[str]:
-    result = run_scatter(cfg)
-    path = write_scatter_csv(out_dir / "scatter.csv", result)
-    const = write_constellation_csv(out_dir / "constellation.csv", cfg.system.qam_d)
-    return [path.name, const.name]
-
-
-def cmd_shaping_spectrum(cfg: ExperimentConfig, out_dir: Path) -> List[str]:
-    rows = run_shaping_spectrum(cfg)
-    path = write_spectrum_csv(out_dir / "spectrum.csv", rows)
-    return [path.name]
+def _run_command(args, cfg: ExperimentConfig, out_dir: Path) -> Tuple[List[Path], int]:
+    """Run one subcommand; returns the files it wrote and the failed-trial count."""
+    if args.command == "pa-curves":
+        return [write_pa_curves_csv(out_dir / "pa_curves.csv", _pa_curve_rows(cfg, args.points))], 0
+    if args.command == "ber":
+        records = run_ber(cfg, workers=args.threads)
+        return [write_ber_csv(out_dir / "ber.csv", records)], records[0].failed_trials
+    if args.command == "scatter":
+        return [write_scatter_csv(out_dir / "scatter.csv", run_scatter(cfg)),
+                write_constellation_csv(out_dir / "constellation.csv", cfg.system.qam_d)], 0
+    return [write_spectrum_csv(out_dir / "spectrum.csv", run_shaping_spectrum(cfg))], 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -160,21 +147,13 @@ def cmd_dispatch(argv: Optional[List[str]] = None) -> int:
 
     out_dir = Path(args.out)
     started = _utcnow()
-    failed_trials = 0
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "pa-curves":
-            outputs = cmd_pa_curves(cfg, out_dir, args.points)
-        elif args.command == "ber":
-            outputs, failed_trials = cmd_ber(cfg, out_dir, args.threads)
-        elif args.command == "scatter":
-            outputs = cmd_scatter(cfg, out_dir)
-        else:
-            outputs = cmd_shaping_spectrum(cfg, out_dir)
-        manifest = write_manifest(out_dir / "manifest.json", cfg, outputs,
+        paths, failed_trials = _run_command(args, cfg, out_dir)
+        manifest = write_manifest(out_dir / "manifest.json", cfg, [p.name for p in paths],
                                   started, _utcnow(), failed_trials)
-        for name in outputs + [manifest.name]:
-            print(out_dir / name)
+        for path in paths + [manifest]:
+            print(path)
     except ConfigError as exc:
         _error_json("config", str(exc))
         return EXIT_CONFIG

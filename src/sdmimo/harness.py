@@ -1,10 +1,14 @@
 """End-to-end Monte Carlo experiments: BER curves, IQ scatter clouds, and
 shaped-distortion angular spectra.
 
-The chain wires the package together per trial: draw a channel, draw
-QAM symbols, precode, push the time-domain block through the modulator
-and PAs at the symbol rate, propagate to the users, demodulate, detect,
-and tally Gray-coded bit errors.
+Every experiment runs each OFDM block through one path.
+:func:`_designs` precodes it: one zero-forcing design for the whole
+noise grid, or one symbol-level solve per noise point from one shared
+start.  :func:`_received` runs each design once through the quiet
+modulator and the PAs (counting overloads once) and propagates it
+noise-free.  A BER trial adds one noise draw per grid point, in grid
+order, then runs one DFT, detection and bit tally over the stack; the
+scatter run reads the noise-free frame.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -58,7 +62,7 @@ from .channel import (
     steering_vector,
 )
 from .config import CHAINS, ExperimentConfig
-from .errors import ConfigError, OverloadWarning
+from .errors import ConfigError
 from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
 from .pa import PaModel, ShapingBudget, apply_pa, compute_r1db
 from .precoding import PrecodeResult, slp_precode, zf_precode
@@ -158,32 +162,25 @@ def _draw_trial_channel(ctx: _Context, rng: np.random.Generator,
     )
 
 
-def _measured_distortion_power(ctx: _Context, chan: ChannelRealization,
-                               zf: PrecodeResult) -> np.ndarray:
-    """Per-user received shaped-distortion power the symbol-level design
-    plans for.
-
-    Uses the closed-form angular structure with the per-antenna
-    distortion second moment measured by running the modulator on the
-    zero-forcing block `zf` (the same drive statistics the final signal
-    will have).  Depends only on the channel and the block, not on the
-    noise level.
-    """
-    if ctx.modulator is None:
-        return np.zeros(chan.n_users)
-    _, q, _ = _modulate_quietly(ctx.modulator, zf.x.with_cp)
-    shaped = q[:q.shape[0] - ctx.modulator.n_tail]
-    m2 = float(np.mean(np.abs(shaped) ** 2))
-    psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
-    return distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
-
-
 def _slp_start(ctx: _Context, chan: ChannelRealization,
                symbols: np.ndarray) -> Tuple[PrecodeResult, np.ndarray]:
     """The symbol-level design's noise-independent inputs for one block:
-    its zero-forcing start point and the measured distortion power."""
+    its zero-forcing start point and the per-user received
+    shaped-distortion power the design plans for.
+
+    The power uses the closed-form angular structure with the
+    per-antenna distortion second moment measured by running the
+    modulator on the zero-forcing block (the same drive statistics the
+    final signal will have).
+    """
     zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
-    return zf, _measured_distortion_power(ctx, chan, zf)
+    if ctx.modulator is None:
+        return zf, np.zeros(chan.n_users)
+    _, q, _ = modulate(ctx.modulator, zf.x.with_cp)
+    shaped = q[:q.shape[0] - ctx.modulator.n_tail]
+    m2 = float(np.mean(np.abs(shaped) ** 2))
+    psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
+    return zf, distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
 
 
 def _slp_solve(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
@@ -205,21 +202,24 @@ def _slp_solve(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
     )
 
 
-def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
-             sigma_v2: float) -> PrecodeResult:
+def _designs(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
+             grid: Sequence[float]) -> List[PrecodeResult]:
+    """One block's transmit designs for the noise grid `grid`: one
+    zero-forcing design shared by every point, or one symbol-level solve
+    per point, all from the block's single :func:`_slp_start`."""
     if ctx.chain.family == "zf":
         # every budget but total power scales to a peak amplitude
         variant = "total-power" if ctx.chain.budget_kind == "total-power" else "sigma-delta"
-        return zf_precode(chan, symbols, ctx.bound, variant=variant)
-    return _slp_solve(ctx, chan, symbols, _slp_start(ctx, chan, symbols), sigma_v2)
+        return [zf_precode(chan, symbols, ctx.bound, variant=variant)]
+    start = _slp_start(ctx, chan, symbols)
+    return [_slp_solve(ctx, chan, symbols, start, sv2) for sv2 in grid]
 
 
-def _modulate_quietly(mod: ModulatorConfig, x: np.ndarray):
-    """:func:`modulate` without its :class:`OverloadWarning`: the chain
-    counts overloads itself (in ``ber.csv``), once per block."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OverloadWarning)
-        return modulate(mod, x)
+def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
+             sigma_v2: float) -> PrecodeResult:
+    """The block's design at the single noise level `sigma_v2`."""
+    (design,) = _designs(ctx, chan, symbols, (sigma_v2,))
+    return design
 
 
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
@@ -228,9 +228,7 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     x_cp = x_grid.with_cp
     pa = ctx.cfg.pa
     if ctx.modulator is not None:
-        n_over = count_overloads(ctx.modulator, x_cp)
-        u, _, _ = _modulate_quietly(ctx.modulator, x_cp)
-        return u, n_over
+        return modulate(ctx.modulator, x_cp)[0], count_overloads(ctx.modulator, x_cp)
     linear = PaModel.ideal(pa.gain, pa.r_max)
     if ctx.chain.pa_mode == "ideal":
         return apply_pa(linear, x_cp), 0
@@ -240,14 +238,12 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     return u, 0
 
 
-def _bit_errors(ctx: _Context, y: np.ndarray, beta: np.ndarray,
-                symbols: np.ndarray) -> np.ndarray:
-    """Bit errors of each received frame in the (S, K, m_cp + m) stack `y`,
-    one count per frame: one DFT, one detection and one Gray tally for the
-    whole stack."""
-    r = receiver_dft(ctx.ofdm, y)
-    s_hat = detect(r, ctx.ofdm.m * beta[:, None], ctx.const)
-    return symbols_to_bits_errors(symbols, s_hat, ctx.const)
+def _received(ctx: _Context, chan: ChannelRealization,
+              design: PrecodeResult) -> Tuple[np.ndarray, int]:
+    """Noise-free received frame (K, m_cp + m) of one design, plus its
+    overload count."""
+    u, n_over = _transmit(ctx, design.x)
+    return propagate(chan, u, 0.0), n_over
 
 
 @dataclass
@@ -255,7 +251,6 @@ class _TrialTally:
     """One trial's counts; the per-SNR arrays have one entry per noise point."""
 
     errors: np.ndarray
-    bits: np.ndarray
     solves: np.ndarray
     solver_converged: np.ndarray
     solver_admm_iters: np.ndarray
@@ -269,40 +264,33 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
     rng = substream(cfg.run.seed, trial)
     chan = _draw_trial_channel(ctx, rng)
     n_snr = len(cfg.sigma_v2)
-    bits_per_block = 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s
     tally = _TrialTally(errors=np.zeros(n_snr, dtype=np.int64),
-                        bits=np.zeros(n_snr, dtype=np.int64),
                         solves=np.zeros(n_snr, dtype=np.int64),
                         solver_converged=np.zeros(n_snr, dtype=np.int64),
                         solver_admm_iters=np.zeros(n_snr))
 
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        if ctx.chain.family == "zf":
-            result = _precode(ctx, chan, symbols, sigma_v2=0.0)
-            u, n_over = _transmit(ctx, result.x)
-            y0 = propagate(chan, u, 0.0)
-            tally.beta_sum += float(result.beta.mean())
+        designs = _designs(ctx, chan, symbols, cfg.sigma_v2)
+        frames = []
+        for si, design in enumerate(designs):
+            y0, n_over = _received(ctx, chan, design)
+            frames.append(y0)
+            tally.beta_sum += float(design.beta.mean())
             tally.beta_count += 1
             tally.overloads += n_over
-            # one noisy copy per noise point, drawn in grid order
-            y = np.stack([add_noise(y0, sv2, rng) for sv2 in cfg.sigma_v2])
-            tally.errors += _bit_errors(ctx, y, result.beta, symbols)
-            tally.bits += bits_per_block
-        else:
-            start = _slp_start(ctx, chan, symbols)
-            for si, sv2 in enumerate(cfg.sigma_v2):
-                result = _slp_solve(ctx, chan, symbols, start, sv2)
-                u, n_over = _transmit(ctx, result.x)
-                y = propagate(chan, u, sv2, rng)
-                tally.errors[si] += _bit_errors(ctx, y[None], result.beta, symbols)[0]
-                tally.bits[si] += bits_per_block
-                tally.beta_sum += float(result.beta.mean())
-                tally.beta_count += 1
-                tally.overloads += n_over
+            if "converged" in design.diagnostics:    # a symbol-level solve for point si
                 tally.solves[si] += 1
-                tally.solver_converged[si] += int(result.diagnostics.get("converged", 0.0))
-                tally.solver_admm_iters[si] += result.diagnostics.get("admm_iterations", 0.0)
+                tally.solver_converged[si] += int(design.diagnostics["converged"])
+                tally.solver_admm_iters[si] += design.diagnostics["admm_iterations"]
+        if len(designs) < n_snr:                     # one design serves the whole grid
+            designs, frames = designs * n_snr, frames * n_snr
+        # one noisy copy per noise point, drawn in grid order, then one DFT,
+        # one detection and one bit tally for the whole stack
+        y = np.stack([add_noise(y0, sv2, rng) for y0, sv2 in zip(frames, cfg.sigma_v2)])
+        beta = np.stack([design.beta for design in designs])[:, :, None]
+        s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta, ctx.const)
+        tally.errors += symbols_to_bits_errors(symbols, s_hat, ctx.const)
     return tally
 
 
@@ -373,14 +361,12 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
 
     Runs ``cfg.run.trials`` independent channel trials with
     ``cfg.run.blocks_per_trial`` OFDM blocks each and accumulates
-    Gray-coded bit errors per noise point.  A zero-forcing block is
-    precoded, modulated and propagated once; its noise-free received
-    frame then gets one independent noise draw per grid point, in grid
-    order, and the stacked noisy frames go through one DFT, one
-    detection and one bit tally.  A symbol-level block solves once per
-    noise point, on its ZF start point and distortion measurement shared
-    by the grid.  Trials that raise are
-    excluded from the tallies and counted (a warning summarizes them).
+    Gray-coded bit errors per noise point, one block at a time along the
+    path of the module docstring: a zero-forcing block is precoded,
+    modulated and propagated once for the whole grid, a symbol-level
+    block once per noise point; every noise point then gets its own
+    noise draw, in grid order.  Trials that raise are excluded from the
+    tallies and counted (a warning summarizes them).
     Deterministic for a fixed config and seed, for any worker count.
     """
     ctx = build_context(cfg)
@@ -407,9 +393,11 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     if not good:
         raise RuntimeError("all trials failed")
 
+    # every noise point of every block carries the same bits
+    bits_per_block = 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s
+    bits = len(good) * cfg.run.blocks_per_trial * bits_per_block
     records = []
     for si, sv2 in enumerate(cfg.sigma_v2):
-        bits = int(sum(t.bits[si] for t in good))
         errors = int(sum(t.errors[si] for t in good))
         beta_count = sum(t.beta_count for t in good)
         solves = int(sum(t.solves[si] for t in good))
@@ -461,12 +449,9 @@ def run_scatter(cfg: ExperimentConfig, subcarrier: Optional[int] = None) -> Scat
     intended = np.empty((cfg.system.k, n_blocks), dtype=complex)
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        result = _precode(ctx, chan, symbols, sigma_v2=cfg.sigma_v2[0]
-                          if ctx.chain.family == "slp" else 0.0)
-        u, _ = _transmit(ctx, result.x)
-        y = propagate(chan, u, 0.0)
-        r = receiver_dft(ctx.ofdm, y)
-        points[:, blk] = r[:, p] / (ctx.ofdm.m * result.beta)
+        design = _precode(ctx, chan, symbols, cfg.sigma_v2[0])
+        y0, _ = _received(ctx, chan, design)
+        points[:, blk] = receiver_dft(ctx.ofdm, y0)[:, p] / (ctx.ofdm.m * design.beta)
         intended[:, blk] = symbols[:, p]
     rms = float(np.sqrt(np.mean(np.abs(points - intended) ** 2)))
     return ScatterResult(subcarrier=p, points=points, symbols=intended, rms_deviation=rms)

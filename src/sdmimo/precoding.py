@@ -39,7 +39,8 @@ __all__ = [
     "slp_precode",
 ]
 
-ZF_VARIANTS = ("sigma-delta", "tail", "back-off", "total-power", "no-distortion")
+# "sigma-delta" scales the block to a peak amplitude, "total-power" to an RMS one
+ZF_VARIANTS = ("sigma-delta", "total-power")
 
 _OBJECTIVE_CAP = 1e12
 _DP_FLOOR = 1e-300
@@ -102,8 +103,9 @@ def zf_precode(
 ) -> PrecodeResult:
     """Zero-forcing design ``z_p = H_p^dagger s_p / Gamma``.
 
-    For the max-amplitude variants ("sigma-delta", "tail", "back-off",
-    "no-distortion") Gamma makes the time-domain peak exactly equal to
+    For the peak-amplitude variant "sigma-delta" (used with any peak
+    budget: a modulator's input bound, a PA back-off or the reference
+    chain's headroom) Gamma makes the time-domain peak exactly equal to
     `budget`; the constraint is tight by construction.  For
     "total-power", `budget` is the per-antenna RMS reference r_max and
     Gamma enforces ``||X||_F^2 = N * M * budget^2`` on the realized
@@ -131,8 +133,7 @@ def zf_precode(
     z = w * scale
     x = TimeGrid(x=x_unnorm * scale, m_cp=chan.ofdm.m_cp)
     beta = np.full(chan.n_users, scale)
-    diag = {"peak_amplitude": float(np.abs(x.x).max())}
-    return PrecodeResult(z=z, x=x, beta=beta, gamma=gamma, diagnostics=diag)
+    return PrecodeResult(z=z, x=x, beta=beta, gamma=gamma)
 
 
 def project_amplitude(x: np.ndarray, bound: float) -> np.ndarray:
@@ -211,11 +212,6 @@ def slp_objective_and_grad(
     coef = 0.0 + g_v[0] + 1j * g_v[1]
     grad_z = np.einsum("pkn,kp->np", chan.freq.conj(), coef)
     return f_total, grad_beta, grad_z
-
-
-def _z_to_time(z: np.ndarray, m: int) -> np.ndarray:
-    """Z F_s^T via zero-padded unnormalized IDFT (forward gain M)."""
-    return m * np.fft.ifft(z, n=m, axis=1)
 
 
 def _time_to_subcarriers(e: np.ndarray, m_s: int) -> np.ndarray:
@@ -343,13 +339,12 @@ def slp_precode(
         d = int(round((np.abs(symbols.real).max() + 1) / 2))
     if rho is None:
         rho = max(100.0, 0.2 * symbols.shape[0] * chan.ofdm.m_s)
-    m = chan.ofdm.m
 
     if start is None:
         start = zf_precode(chan, symbols, budget, variant="sigma-delta")
     beta = start.beta.copy()
     z = start.z.copy()
-    lam = np.zeros((chan.geom.n, m), dtype=complex)
+    lam = np.zeros((chan.geom.n, chan.ofdm.m), dtype=complex)
 
     f_prev, _, _ = slp_objective_and_grad(beta, z, chan, symbols, sigma_eta, d=d, need_grad=False)
     f_best = f_prev
@@ -359,7 +354,7 @@ def slp_precode(
     converged = False
     f_cur = f_prev
     resid2 = math.inf
-    z_time = _z_to_time(z, m)
+    z_time = idft_modulate(chan.ofdm, z).x     # Z F_s^T
 
     for _ in range(admm_max_iter):
         rounds += 1
@@ -370,7 +365,7 @@ def slp_precode(
             apg_max_iter, apg_tol, gamma,
         )
         apg_total += n_apg
-        z_time = _z_to_time(z, m)
+        z_time = idft_modulate(chan.ofdm, z).x
         lam = lam + rho * (x_block - z_time)
         resid2 = float(np.linalg.norm(x_block - z_time) ** 2)
         f_best = min(f_best, f_cur)

@@ -44,73 +44,51 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_ber_csv(path, records: List[MetricRecord]) -> Path:
+def _write_csv(path, header: List[str], rows: Iterable) -> Path:
+    """One header line, then one line per row with every cell through `_fmt`."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["scheme", "precoder", "snr_db", "sigma_v2", "ber", "ber_lo", "ber_hi",
-                    "bits", "errors", "mean_beta", "overloads", "solver_converged_frac",
-                    "solver_mean_admm_iters", "failed_trials"])
-        for r in records:
-            lo, hi = wilson_interval(r.errors, r.bits)
-            w.writerow([r.scheme, r.precoder, _fmt(r.snr_db), _fmt(r.sigma_v2),
-                        _fmt(r.ber), _fmt(lo), _fmt(hi), r.bits, r.errors,
-                        _fmt(r.mean_beta), r.overloads,
-                        _fmt(r.solver_converged_frac), _fmt(r.solver_mean_admm_iters),
-                        r.failed_trials])
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in row] for row in rows)
     return path
+
+
+def write_ber_csv(path, records: List[MetricRecord]) -> Path:
+    header = ["scheme", "precoder", "snr_db", "sigma_v2", "ber", "ber_lo", "ber_hi", "bits",
+              "errors", "mean_beta", "overloads", "solver_converged_frac",
+              "solver_mean_admm_iters", "failed_trials"]
+    return _write_csv(path, header, (
+        [r.scheme, r.precoder, r.snr_db, r.sigma_v2, r.ber, *wilson_interval(r.errors, r.bits),
+         r.bits, r.errors, r.mean_beta, r.overloads, r.solver_converged_frac,
+         r.solver_mean_admm_iters, r.failed_trials] for r in records))
 
 
 def write_scatter_csv(path, result: ScatterResult) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user", "re", "im", "symbol_re", "symbol_im"])
-        k_users, n_blocks = result.points.shape
-        for i in range(k_users):
-            for b in range(n_blocks):
-                pt = result.points[i, b]
-                sym = result.symbols[i, b]
-                w.writerow([i, _fmt(float(pt.real)), _fmt(float(pt.imag)),
-                            _fmt(float(sym.real)), _fmt(float(sym.imag))])
-    return path
+    k_users, n_blocks = result.points.shape
+    return _write_csv(path, ["user", "re", "im", "symbol_re", "symbol_im"], (
+        [i, float(pt.real), float(pt.imag), float(sym.real), float(sym.imag)]
+        for i in range(k_users)
+        for pt, sym in zip(result.points[i], result.symbols[i])))
 
 
 def write_constellation_csv(path, d: int) -> Path:
     """Constellation points plus the per-axis decision thresholds (the
     even integers between adjacent levels), for overlaying on scatter
     plots."""
-    path = Path(path)
     levels = range(-(2 * d - 1), 2 * d, 2)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "re", "im"])
-        for lr in levels:
-            for li in levels:
-                w.writerow(["point", _fmt(float(lr)), _fmt(float(li))])
-        for t in range(-(2 * d - 2), 2 * d - 1, 2):
-            w.writerow(["axis_threshold", _fmt(float(t)), ""])
-    return path
+    points = [["point", float(lr), float(li)] for lr in levels for li in levels]
+    thresholds = [["axis_threshold", float(t), ""] for t in range(-(2 * d - 2), 2 * d - 1, 2)]
+    return _write_csv(path, ["kind", "re", "im"], points + thresholds)
 
 
 def write_spectrum_csv(path, rows: Iterable[SpectrumRow]) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta_deg", "measured", "predicted"])
-        for r in rows:
-            w.writerow([_fmt(r.theta_deg), _fmt(r.measured), _fmt(r.predicted)])
-    return path
+    return _write_csv(path, ["theta_deg", "measured", "predicted"],
+                      ([r.theta_deg, r.measured, r.predicted] for r in rows))
 
 
 def write_pa_curves_csv(path, rows) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["r", "g_a", "g_p", "ideal_g_a", "is_r1db"])
-        for r, ga, gp, ideal, marker in rows:
-            w.writerow([_fmt(r), _fmt(ga), _fmt(gp), _fmt(ideal), marker])
-    return path
+    return _write_csv(path, ["r", "g_a", "g_p", "ideal_g_a", "is_r1db"], rows)
 
 
 def write_manifest(path, cfg: ExperimentConfig, outputs: List[str],

@@ -16,6 +16,12 @@ recurrence is sequential in the antenna index and vectorized over time
 samples.  State is local to one call: the error feedback starts from
 zero at every frame, so frames (and therefore OFDM blocks) are
 independent.
+
+:func:`modulate` is quiet; a caller counts overloads with
+:func:`count_overloads`.  :func:`modulate_first_order` and
+:func:`modulate_second_order`, the entry points for probing overload on
+purpose, also emit an :class:`OverloadWarning` when an input sample
+exceeds the no-overloading bound.
 """
 
 from __future__ import annotations
@@ -97,7 +103,11 @@ def _check_frame(x: np.ndarray, cfg: ModulatorConfig) -> np.ndarray:
     return x
 
 
-def _warn_overloads(cfg: ModulatorConfig, x: np.ndarray) -> None:
+def _modulate_warning(order: int, cfg: ModulatorConfig, x):
+    """:func:`modulate` for a config of loop order `order`, with an
+    :class:`OverloadWarning` when an input sample is over the bound."""
+    if cfg.order != order:
+        raise ValueError(f"config is not {('first', 'second')[order - 1]} order")
     n_over = count_overloads(cfg, x)
     if n_over:
         warnings.warn(
@@ -107,6 +117,7 @@ def _warn_overloads(cfg: ModulatorConfig, x: np.ndarray) -> None:
             OverloadWarning,
             stacklevel=3,
         )
+    return modulate(cfg, x)
 
 
 def count_overloads(cfg: ModulatorConfig, x) -> int:
@@ -141,9 +152,7 @@ def modulate_first_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarra
     ``cfg.input_bound``; the loop still runs (the PA is total) so
     overload behaviour can be probed deliberately.
     """
-    if cfg.order != 1:
-        raise ValueError("config is not first order")
-    return modulate(cfg, x)
+    return _modulate_warning(1, cfg, x)
 
 
 def modulate_second_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,9 +162,7 @@ def modulate_second_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarr
     ``u_n = A*x_n + A*(q_n - 2 q_{n-1} + q_{n-2})`` and, for the
     tail-removing variant, ideal PAs on the last two antennas.
     """
-    if cfg.order != 2:
-        raise ValueError("config is not second order")
-    return modulate(cfg, x)
+    return _modulate_warning(2, cfg, x)
 
 
 def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,11 +172,12 @@ def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     ``u_n = G_n(b_n)``, ``q_n = u_n/A - b_n`` over the antenna index, with
     ``q_n = 0`` before the first antenna.  ``G_n`` is the configured PA,
     or an ideal one on the last ``cfg.n_tail`` antennas.  Contract as in
-    :func:`modulate_first_order`; raises ``ValueError`` at the first
-    antenna whose PA input is not finite.
+    :func:`modulate_first_order`, but quiet: it emits no
+    :class:`OverloadWarning` (count overloads with :func:`count_overloads`).
+    Raises ``ValueError`` at the first antenna whose PA input is not
+    finite.
     """
     x = _check_frame(x, cfg)
-    _warn_overloads(cfg, x)
     n_antennas = x.shape[0]
     first_tail = n_antennas - cfg.n_tail
     linear = PaModel.ideal(cfg.pa.gain, cfg.pa.r_max)
