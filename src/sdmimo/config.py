@@ -5,8 +5,11 @@ One JSON document describes one experiment, with sections
     {"system": {...}, "pa": {...}, "scheme": "...", "precoder": {...},
      "noise": {...}, "run": {...}}
 
-Unknown keys are rejected so that typos fail loudly.  All parse errors
-raise :class:`ConfigError` naming the offending section and key.
+Unknown keys are rejected so that typos fail loudly, and every value
+must have the JSON type of its field's default: an integer field takes
+no bool or float, a float field any finite number but a bool (``rho``
+also null), a list field a list of numbers.  All parse errors raise
+:class:`ConfigError` naming the offending section and key.
 """
 
 from __future__ import annotations
@@ -114,12 +117,56 @@ class ExperimentConfig:
         return self.pa.r_max if self.chi is None else self.chi
 
 
-def _take(section: dict, section_name: str, defaults) -> dict:
-    """Filter a config section against a dataclass's fields."""
-    allowed = set(defaults.__dataclass_fields__)
-    bad = set(section) - allowed
+def _is_number(value, finite: bool = True) -> bool:
+    """A JSON number (not a bool); with `finite`, one of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return not finite or math.isfinite(value)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
+def _is_number_list(value, finite: bool = True) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_number(v, finite) for v in value)
+
+
+# JSON type of a field, by the type of its default (None: the optional rho)
+_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer", float: "a finite number",
+               tuple: "a list of finite numbers", type(None): "a finite number or null"}
+
+
+def _has_type_of(default, value) -> bool:
+    """Whether `value` has the JSON type of a field whose default is `default`."""
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, tuple):
+        return _is_number_list(value)
+    return _is_number(value) or (default is None and value is None)
+
+
+def _section(doc: dict, name: str, default=None) -> dict:
+    block = doc.get(name, {} if default is None else default)
+    if not isinstance(block, dict):
+        raise ConfigError(f"section '{name}' must be a JSON object")
+    return block
+
+
+def _take(doc: dict, section_name: str, defaults) -> dict:
+    """A config section checked against a dataclass's fields: known keys
+    only, each value of its default's JSON type."""
+    section = _section(doc, section_name)
+    fields = defaults.__dataclass_fields__
+    bad = set(section) - set(fields)
     if bad:
         raise ConfigError(f"unknown key(s) in section '{section_name}': {sorted(bad)}")
+    for key, value in section.items():
+        default = fields[key].default
+        if not _has_type_of(default, value):
+            raise ConfigError(f"{section_name}.{key} must be {_TYPE_NAMES[type(default)]}, "
+                              f"got {value!r}")
     return section
 
 
@@ -128,6 +175,9 @@ def _pa_from_dict(block: dict) -> PaModel:
     bad = set(block) - {"kind", *_PA_KEYS}
     if bad:
         raise ConfigError(f"unknown key(s) in section 'pa': {sorted(bad)}")
+    for key in set(block) & set(_PA_KEYS):
+        if not _is_number(block[key]):
+            raise ConfigError(f"pa.{key} must be a finite number, got {block[key]!r}")
     try:
         return replace(DEFAULT_PA, kind=block.get("kind", DEFAULT_PA.kind),
                        **{name: float(block[key]) for key, name in _PA_KEYS.items()
@@ -141,12 +191,13 @@ def _noise_from_dict(block: dict) -> Tuple[float, ...]:
         raise ConfigError("section 'noise': give either sigma_v2 or inv_sigma_v2_db, not both")
     if not ("sigma_v2" in block or "inv_sigma_v2_db" in block):
         raise ConfigError("section 'noise' needs sigma_v2 or inv_sigma_v2_db")
+    key = "sigma_v2" if "sigma_v2" in block else "inv_sigma_v2_db"
+    if not _is_number_list(block[key], finite=False):
+        raise ConfigError(f"noise.{key} must be a list of numbers")
     try:
-        if "sigma_v2" in block:
-            values = [float(v) for v in block["sigma_v2"]]
-        else:
-            values = [10.0 ** (-float(db) / 10.0) for db in block["inv_sigma_v2_db"]]
-    except (TypeError, ValueError, OverflowError) as exc:
+        values = [float(v) if key == "sigma_v2" else 10.0 ** (-float(v) / 10.0)
+                  for v in block[key]]
+    except OverflowError as exc:
         raise ConfigError(f"invalid 'noise' section: {exc}") from exc
     bad = set(block) - {"sigma_v2", "inv_sigma_v2_db"}
     if bad:
@@ -165,23 +216,22 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     bad = set(doc) - known
     if bad:
         raise ConfigError(f"unknown top-level key(s): {sorted(bad)}")
-    try:
-        system = SystemConfig(**_take(dict(doc.get("system", {})), "system", SystemConfig))
-        precoder = PrecoderConfig(**_take(dict(doc.get("precoder", {})), "precoder", PrecoderConfig))
-        run_sec = dict(doc.get("run", {}))
-        if "spectrum_angles_deg" in run_sec:
-            run_sec["spectrum_angles_deg"] = tuple(run_sec["spectrum_angles_deg"])
-        run = RunConfig(**_take(run_sec, "run", RunConfig))
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    pa = _pa_from_dict(dict(doc.get("pa", {})))
+    system = SystemConfig(**_take(doc, "system", SystemConfig))
+    precoder = PrecoderConfig(**_take(doc, "precoder", PrecoderConfig))
+    run_sec = dict(_take(doc, "run", RunConfig))
+    if "spectrum_angles_deg" in run_sec:
+        run_sec["spectrum_angles_deg"] = tuple(run_sec["spectrum_angles_deg"])
+    run = RunConfig(**run_sec)
+    pa = _pa_from_dict(_section(doc, "pa"))
     scheme = doc.get("scheme", "auto")
     if scheme not in SCHEME_NAMES:
         raise ConfigError(f"'scheme' must be one of {SCHEME_NAMES}, got {scheme!r}")
     if precoder.name not in PRECODER_NAMES:
         raise ConfigError(f"precoder.name must be one of {PRECODER_NAMES}, got {precoder.name!r}")
-    noise = _noise_from_dict(dict(doc.get("noise", {"sigma_v2": [1e-4]})))
+    noise = _noise_from_dict(_section(doc, "noise", {"sigma_v2": [1e-4]}))
     chi = doc.get("chi")
+    if not (chi is None or _is_number(chi)):
+        raise ConfigError(f"chi must be a finite number or null, got {chi!r}")
     cfg = ExperimentConfig(
         system=system, pa=pa, chi=None if chi is None else float(chi),
         scheme=scheme, precoder=precoder, sigma_v2=noise, run=run,

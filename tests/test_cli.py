@@ -200,6 +200,18 @@ def test_invalid_values_exit_3(tiny_config, tmp_path, capsys, argv_extra, edit):
     assert not (tmp_path / "out").exists()
 
 
+def test_value_of_the_wrong_type_exits_3(tiny_config, tmp_path, capsys):
+    # a fractional trial count is a config error, not a runtime failure
+    doc = json.loads(tiny_config.read_text())
+    doc["run"]["trials"] = 2.5
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert cmd_dispatch(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "run.trials" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("precoder", ["zf-tsd", "slp-tsd"])
 def test_ber_outputs_identical_across_thread_counts(tiny_config, tmp_path, precoder):
     doc = json.loads(tiny_config.read_text())

@@ -1,9 +1,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdmimo.config import (
     ExperimentConfig,
+    PrecoderConfig,
+    RunConfig,
+    SystemConfig,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -173,3 +178,77 @@ def test_noise_free_point_in_db_accepted():
     doc = _minimal()
     doc["noise"] = {"inv_sigma_v2_db": [float("inf"), 20.0]}
     assert config_from_dict(doc).sigma_v2 == pytest.approx((0.0, 0.01))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("run", "trials", 2.5), ("run", "seed", 1.5), ("run", "trials", True),
+    ("run", "self_check", "no"), ("run", "self_check", 1),
+    ("run", "spectrum_angles_deg", "ab"), ("run", "spectrum_angles_deg", [0.0, True]),
+    ("run", "spectrum_angles_deg", [0.0, "5"]),
+    ("system", "n", True), ("system", "n", "16"), ("system", "n", 16.0),
+    ("system", "d_over_lambda", True), ("system", "d_over_lambda", "0.1"),
+    pytest.param("system", "angle_spread_deg", 10**400, id="system-angle_spread_deg-1e400-int"),
+    ("precoder", "rho", "x"), ("precoder", "rho", False), ("precoder", "name", 3),
+    ("pa", "A", "16"), ("pa", "C", True), ("noise", "sigma_v2", "12"),
+    ("noise", "sigma_v2", [True]), ("noise", "inv_sigma_v2_db", 20.0),
+])
+def test_values_of_the_wrong_type_rejected(section, key, value):
+    # each value has the JSON type of its field's default or is a ConfigError
+    doc = _minimal()
+    doc[section] = {key: value} if section == "noise" else {**doc[section], key: value}
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("chi", "abc"), ("chi", True), ("chi", [0.1]), ("system", [8]), ("pa", "rapp"),
+    ("noise", 3), ("run", None), ("precoder", "zf-tsd"),
+])
+def test_top_level_values_of_the_wrong_type_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({**_minimal(), key: value})
+
+
+def test_numbers_of_either_kind_accepted_for_float_fields():
+    doc = _minimal()
+    doc["system"]["angle_spread_deg"] = 30
+    doc["precoder"]["rho"] = 200
+    doc["run"]["spectrum_angles_deg"] = [0, 12.5]
+    doc["chi"] = 0.1
+    cfg = config_from_dict(doc)
+    assert (cfg.system.angle_spread_deg, cfg.precoder.rho) == (30, 200)
+    assert cfg.run.spectrum_angles_deg == (0, 12.5)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_KEY_NAMES = sorted({*SystemConfig.__dataclass_fields__, *PrecoderConfig.__dataclass_fields__,
+                     *RunConfig.__dataclass_fields__, "kind", "A", "r_max", "phi", "zeta", "B",
+                     "C", "sigma_v2", "inv_sigma_v2_db"})
+# (top-level key, key inside it or None for the whole value, new value)
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["system", "pa", "chi", "scheme", "precoder", "noise", "run"]),
+    st.none() | st.sampled_from(_KEY_NAMES),
+    _JSON_VALUES | st.sampled_from(["zf-tsd", "slp-bo", "sd2", "none", "twta", 0.1, 1, 64])),
+    max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edits=_EDITS)
+def test_any_document_gives_a_config_or_a_config_error(edits):
+    # JSON values of any type at any key: the result is a configuration or
+    # a ConfigError, never another exception
+    doc = _minimal()
+    for top, key, value in edits:
+        if key is None or not isinstance(doc.get(top), dict):
+            doc[top] = value
+        else:
+            doc[top] = {**doc[top], key: value}
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
