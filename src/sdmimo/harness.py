@@ -4,8 +4,8 @@ shaped-distortion angular spectra.
 Every experiment runs each OFDM block through one path.
 :func:`_designs` precodes it: one zero-forcing design for the whole
 noise grid, or one symbol-level solve per noise point from one shared
-start.  :func:`_received` runs each design once through the quiet
-modulator and the PAs (counting overloads once) and propagates it
+start.  :func:`_transmit` runs each design once through the quiet
+modulator and the PAs (counting overloads once), and it is propagated
 noise-free.  A BER trial adds one noise draw per grid point, in grid
 order, then runs one DFT, detection and bit tally over the stack; the
 scatter run reads the noise-free frame.
@@ -238,14 +238,6 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     return u, 0
 
 
-def _received(ctx: _Context, chan: ChannelRealization,
-              design: PrecodeResult) -> Tuple[np.ndarray, int]:
-    """Noise-free received frame (K, m_cp + m) of one design, plus its
-    overload count."""
-    u, n_over = _transmit(ctx, design.x)
-    return propagate(chan, u, 0.0), n_over
-
-
 @dataclass
 class _TrialTally:
     """One trial's counts; the per-SNR arrays have one entry per noise point."""
@@ -274,8 +266,8 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
         designs = _designs(ctx, chan, symbols, cfg.sigma_v2)
         frames = []
         for si, design in enumerate(designs):
-            y0, n_over = _received(ctx, chan, design)
-            frames.append(y0)
+            u, n_over = _transmit(ctx, design.x)
+            frames.append(propagate(chan, u, 0.0))   # noise-free
             tally.beta_sum += float(design.beta.mean())
             tally.beta_count += 1
             tally.overloads += n_over
@@ -450,8 +442,9 @@ def run_scatter(cfg: ExperimentConfig, subcarrier: Optional[int] = None) -> Scat
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         design = _precode(ctx, chan, symbols, cfg.sigma_v2[0])
-        y0, _ = _received(ctx, chan, design)
-        points[:, blk] = receiver_dft(ctx.ofdm, y0)[:, p] / (ctx.ofdm.m * design.beta)
+        u, _ = _transmit(ctx, design.x)
+        r = receiver_dft(ctx.ofdm, propagate(chan, u, 0.0))
+        points[:, blk] = r[:, p] / (ctx.ofdm.m * design.beta)
         intended[:, blk] = symbols[:, p]
     rms = float(np.sqrt(np.mean(np.abs(points - intended) ** 2)))
     return ScatterResult(subcarrier=p, points=points, symbols=intended, rms_deviation=rms)

@@ -108,6 +108,7 @@ def _modulate_warning(order: int, cfg: ModulatorConfig, x):
     :class:`OverloadWarning` when an input sample is over the bound."""
     if cfg.order != order:
         raise ValueError(f"config is not {('first', 'second')[order - 1]} order")
+    x = _check_frame(x, cfg)
     n_over = count_overloads(cfg, x)
     if n_over:
         warnings.warn(

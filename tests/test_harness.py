@@ -361,8 +361,8 @@ def test_zf_block_with_ideal_pas_is_received_exactly(n, k_frac, seed):
     except RankDeficient:
         event("rank-deficient channel skipped")
         assume(False)
-    y0, n_over = hz._received(ctx, chan, design)
-    r = receiver_dft(ctx.ofdm, y0)
+    u, n_over = hz._transmit(ctx, design.x)
+    r = receiver_dft(ctx.ofdm, propagate(chan, u, 0.0))
     scale = ctx.ofdm.m * design.beta[:, None]
     assert n_over == 0
     assert np.max(np.abs(r / scale - symbols)) <= _ZF_EXACT_TOL
