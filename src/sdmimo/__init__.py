@@ -19,13 +19,7 @@ from .channel import (
     steering_vector,
 )
 from .config import ExperimentConfig, load_config
-from .errors import (
-    ConfigError,
-    NoCompressionPoint,
-    OverloadWarning,
-    RankDeficient,
-    ShapeMismatch,
-)
+from .errors import ConfigError, NoCompressionPoint, RankDeficient, ShapeMismatch
 from .harness import run_ber, run_scatter, run_shaping_spectrum
 from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft, sample_hold
 from .pa import PaModel, ShapingBudget, apply_pa, compute_psi, compute_r1db
@@ -37,12 +31,6 @@ from .precoding import (
     zf_precode,
 )
 from .qam import QamConstellation, detect, dp_real_component
-from .sigma_delta import (
-    ModulatorConfig,
-    modulate,
-    modulate_first_order,
-    modulate_second_order,
-    shaped_distortion_power,
-)
+from .sigma_delta import ModulatorConfig, modulate, shaped_distortion_power
 
 __version__ = "0.1.0"

@@ -386,18 +386,13 @@ def draw_channel(
     return channel_from_paths(geom, ofdm, alpha, theta, tau, l_taps, rx_filter, pa_gain)
 
 
-def propagate(
-    chan: ChannelRealization,
-    u: np.ndarray,
-    sigma_v2: float = 0.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Propagate a symbol-rate PA-output frame to the K users.
+def propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
+    """Propagate a symbol-rate PA-output frame to the K users, noise-free.
 
     Applies the full-support FIR ``y_i[m] = sum_l prop_taps[i, l] . u[:, m - l]``
     (the held frame's delayed, steered superposition after receive
     filtering and symbol-rate sampling, with samples outside the frame
-    taken as zero) and adds i.i.d. CN(0, sigma_v2) noise per sample.
+    taken as zero).  Receiver noise is :func:`add_noise`'s job.
 
     `u` is (N, m_cp + m) covering the CP-extended block; the return value
     is (K, m_cp + m), one row per user, starting at the first CP sample.
@@ -421,8 +416,7 @@ def propagate(
             y[:, shift:] += per_lag[:, l, :max(n_samples - shift, 0)]
         else:
             y[:, :shift] += per_lag[:, l, -shift:]
-
-    return add_noise(y, sigma_v2, rng)
+    return y
 
 
 def add_noise(y: np.ndarray, sigma_v2: float,

@@ -248,8 +248,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("system: n and k must be positive")
     if not (0 < sys_.d_over_lambda <= 0.5):
         raise ConfigError("system: d_over_lambda must lie in (0, 1/2]")
-    if sys_.qam_d < 1:
-        raise ConfigError("system: qam_d must be >= 1")
+    if sys_.qam_d < 1 or sys_.qam_d & (sys_.qam_d - 1):
+        # the Gray bit tally needs a whole number of bits per axis, log2(2 qam_d)
+        raise ConfigError("system: qam_d must be a power of two (1, 2, 4, ...)")
+    if not (0 <= sys_.rrc_rolloff <= 1):
+        raise ConfigError("system: rrc_rolloff must lie in [0, 1]")
+    if not (0 <= sys_.angle_spread_deg <= 90):
+        raise ConfigError("system: angle_spread_deg must lie in [0, 90]")
     if sys_.j_paths < 1 or sys_.l_taps < 1:
         raise ConfigError("system: j_paths and l_taps must be >= 1")
     if sys_.delay_max_ts < sys_.delay_min_ts or sys_.delay_min_ts < 0:
@@ -260,8 +265,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         sys_.ofdm
     except ValueError as exc:
         raise ConfigError(f"system: {exc}") from exc
+    # the receive filter is sampled round(rrc_span_ts * osf) quadrature steps
+    # each side: none when the product is at most 1/2
+    if sys_.rrc_span_ts * sys_.osf <= 0.5:
+        raise ConfigError("system: rrc_span_ts must round to at least one step of 1/osf")
     if cfg.run.trials < 1 or cfg.run.blocks_per_trial < 1:
         raise ConfigError("run: trials and blocks_per_trial must be >= 1")
+    if cfg.run.spectrum_frames < 1 or cfg.run.spectrum_samples < 1:
+        raise ConfigError("run: spectrum_frames and spectrum_samples must be >= 1")
     if cfg.run.seed < 0:
         raise ConfigError("run: seed must be >= 0")
     if not (math.isfinite(cfg.chi_value) and cfg.chi_value > 0):

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ShapeMismatch(ValueError):
@@ -15,7 +15,3 @@ class RankDeficient(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration file is missing or inconsistent."""
-
-
-class OverloadWarning(UserWarning):
-    """Modulator input exceeded the no-overloading amplitude bound."""

@@ -1,14 +1,14 @@
 """End-to-end Monte Carlo experiments: BER curves, IQ scatter clouds, and
 shaped-distortion angular spectra.
 
-Every experiment runs each OFDM block through one path.
-:func:`_designs` precodes it: one zero-forcing design for the whole
-noise grid, or one symbol-level solve per noise point from one shared
-start.  :func:`_transmit` runs each design once through the quiet
-modulator and the PAs (counting overloads once), and it is propagated
-noise-free.  A BER trial adds one noise draw per grid point, in grid
-order, then runs one DFT, detection and bit tally over the stack; the
-scatter run reads the noise-free frame.
+Every experiment runs each OFDM block through one path, with one entry
+point per stage.  :func:`_designs` precodes it: one zero-forcing design
+for the whole noise grid, or one symbol-level solve per noise point from
+one shared start.  :func:`_transmit` runs each design once through
+``modulate`` and the PAs and counts its overloads once; ``propagate``
+carries it to the users noise-free.  A BER trial adds one ``add_noise``
+draw per grid point, in grid order, then runs one DFT, detection and bit
+tally over the stack; the scatter run reads the noise-free frame.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -267,7 +267,7 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
         frames = []
         for si, design in enumerate(designs):
             u, n_over = _transmit(ctx, design.x)
-            frames.append(propagate(chan, u, 0.0))   # noise-free
+            frames.append(propagate(chan, u))
             tally.beta_sum += float(design.beta.mean())
             tally.beta_count += 1
             tally.overloads += n_over
@@ -312,13 +312,13 @@ class MetricRecord:
     failed_trials: int
 
 
-def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
+def self_check_linear_chain(ctx: _Context) -> float:
     """Regression check: ideal PAs in the linear region must reproduce the
     frequency-domain model ``M * h_p^T z_p`` through the full chain.
 
     Uses a tap count that covers the whole delay + filter support so the
     discrete model is exact.  Returns the worst relative error; raises
-    ``RuntimeError`` if it exceeds `rel_tol`.
+    ``RuntimeError`` if it exceeds 1e-6.
     """
     cfg = ctx.cfg
     sys_ = cfg.system
@@ -330,11 +330,11 @@ def self_check_linear_chain(ctx: _Context, rel_tol: float = 1e-6) -> float:
                  + 1j * rng.standard_normal((sys_.n, ctx.ofdm.m_s)))
     x_grid = idft_modulate(ctx.ofdm, z)
     u = cfg.pa.gain * x_grid.with_cp
-    y = propagate(chan, u, 0.0)
+    y = propagate(chan, u)
     r = receiver_dft(ctx.ofdm, y)
     model = ctx.ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
     err = float(np.max(np.abs(r - model)) / np.max(np.abs(model)))
-    if err > rel_tol:
+    if err > 1e-6:
         raise RuntimeError(f"linear-chain self check failed: relative error {err:.3g}")
     return err
 
@@ -416,21 +416,20 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
 class ScatterResult:
     """Noise-free received points at one subcarrier, normalized by M*beta."""
 
-    subcarrier: int
     points: np.ndarray      # (K, blocks) complex
     symbols: np.ndarray     # (K, blocks) intended constellation points
     rms_deviation: float
 
 
-def run_scatter(cfg: ExperimentConfig, subcarrier: Optional[int] = None) -> ScatterResult:
+def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     """Noise-free IQ cloud for one fixed channel over many OFDM blocks.
 
-    Emits ``r_{i,p} / (M beta_i)`` per user and block at the requested
-    subcarrier, plus the RMS distance of the cloud from the intended
-    constellation points.
+    Emits ``r_{i,p} / (M beta_i)`` per user and block at subcarrier
+    ``p = cfg.run.scatter_subcarrier``, plus the RMS distance of the
+    cloud from the intended constellation points.
     """
     ctx = build_context(cfg)
-    p = cfg.run.scatter_subcarrier if subcarrier is None else subcarrier
+    p = cfg.run.scatter_subcarrier
     if not (0 <= p < cfg.system.m_s):
         raise ConfigError(f"scatter subcarrier {p} out of range [0, {cfg.system.m_s})")
     rng = substream(cfg.run.seed, 0)
@@ -443,11 +442,11 @@ def run_scatter(cfg: ExperimentConfig, subcarrier: Optional[int] = None) -> Scat
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         design = _precode(ctx, chan, symbols, cfg.sigma_v2[0])
         u, _ = _transmit(ctx, design.x)
-        r = receiver_dft(ctx.ofdm, propagate(chan, u, 0.0))
+        r = receiver_dft(ctx.ofdm, propagate(chan, u))
         points[:, blk] = r[:, p] / (ctx.ofdm.m * design.beta)
         intended[:, blk] = symbols[:, p]
     rms = float(np.sqrt(np.mean(np.abs(points - intended) ** 2)))
-    return ScatterResult(subcarrier=p, points=points, symbols=intended, rms_deviation=rms)
+    return ScatterResult(points=points, symbols=intended, rms_deviation=rms)
 
 
 @dataclass
@@ -457,9 +456,9 @@ class SpectrumRow:
     predicted: float
 
 
-def run_shaping_spectrum(cfg: ExperimentConfig,
-                         angles_deg: Optional[Sequence[float]] = None) -> List[SpectrumRow]:
-    """Measured vs predicted beamformed distortion power over an angle grid.
+def run_shaping_spectrum(cfg: ExperimentConfig) -> List[SpectrumRow]:
+    """Measured vs predicted beamformed distortion power at the angles
+    ``cfg.run.spectrum_angles_deg``.
 
     Feeds constant-envelope random-phase frames at the modulator's input
     bound, beamforms the distortion-only component ``a(theta)^T (u - A x)``,
@@ -469,7 +468,7 @@ def run_shaping_spectrum(cfg: ExperimentConfig,
     ctx = build_context(cfg)
     if ctx.modulator is None:
         raise ConfigError("shaping spectrum requires a sigma-delta scheme (sd1/tsd1/sd2/tsd2)")
-    angles = tuple(cfg.run.spectrum_angles_deg if angles_deg is None else angles_deg)
+    angles = cfg.run.spectrum_angles_deg
     bound = ctx.modulator.input_bound
     rng = substream(cfg.run.seed, 1)
     n = ctx.geom.n

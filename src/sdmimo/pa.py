@@ -168,22 +168,22 @@ def _distortion_amp(model: PaModel, r):
     return np.abs(r * (gain / model.gain) * np.exp(1j * phase) - r)
 
 
-def compute_psi(model: PaModel, chi: float, coarse: int = 4096) -> float:
+def compute_psi(model: PaModel, chi: float) -> float:
     """Worst-case relative PA distortion over the input disk of radius `chi`.
 
     Evaluates ``max_{|z| <= chi} |G(z)/A - z|``.  The expression depends
     only on ``|z|``, so the search runs over amplitudes: a coarse grid of
-    `coarse` points on [0, chi] followed by a golden-section refinement
+    4096 points on [0, chi] followed by a golden-section refinement
     around the best coarse point.  Absolute accuracy is better than 1e-6
     for the smooth models used here.
     """
     if chi <= 0:
         raise ValueError("chi must be positive")
-    grid = np.linspace(0.0, chi, coarse)
+    grid = np.linspace(0.0, chi, 4096)
     vals = _distortion_amp(model, grid)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, coarse - 1)]
+    hi = grid[min(k + 1, grid.size - 1)]
     # golden-section maximization on [lo, hi]
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
@@ -203,11 +203,11 @@ def compute_psi(model: PaModel, chi: float, coarse: int = 4096) -> float:
     return best
 
 
-def compute_r1db(model: PaModel, rel_tol: float = 1e-9) -> float:
+def compute_r1db(model: PaModel) -> float:
     """Input amplitude at which the output falls 1 dB below linear gain.
 
     Solves ``20*log10(A*r / g_a(r)) = 1`` by bisection on
-    ``(0, 10*r_max]`` to relative tolerance `rel_tol`.  Raises
+    ``(0, 10*r_max]`` to relative tolerance 1e-9.  Raises
     :class:`NoCompressionPoint` for the ideal model (linear up to
     ``r_max``) or when no root exists in the search interval.
     """
@@ -227,7 +227,7 @@ def compute_r1db(model: PaModel, rel_tol: float = 1e-9) -> float:
         if idx.size == 0:
             raise NoCompressionPoint("no 1 dB compression point in (0, 10*r_max]")
         lo, hi = rs[idx[0]], rs[idx[0] + 1]
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:
             lo = mid

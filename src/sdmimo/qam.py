@@ -53,6 +53,10 @@ class QamConstellation:
 
     @property
     def bits_per_axis(self) -> int:
+        """log2(2d), the Gray-code width of one axis; the bit tally needs
+        d to be a power of two, so any other d raises ``ValueError``."""
+        if self.d & (self.d - 1):
+            raise ValueError(f"d = {self.d} is not a power of two: no whole bits per axis")
         return int(np.log2(2 * self.d))
 
     def random_symbols(self, rng: np.random.Generator, shape) -> np.ndarray:

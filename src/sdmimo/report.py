@@ -14,6 +14,7 @@ from typing import Iterable, List, Tuple
 
 from .config import ExperimentConfig, config_to_dict
 from .harness import MetricRecord, ScatterResult, SpectrumRow
+from .qam import QamConstellation
 
 __all__ = ["wilson_interval", "write_ber_csv", "write_scatter_csv", "write_spectrum_csv",
            "write_manifest"]
@@ -76,9 +77,9 @@ def write_constellation_csv(path, d: int) -> Path:
     """Constellation points plus the per-axis decision thresholds (the
     even integers between adjacent levels), for overlaying on scatter
     plots."""
-    levels = range(-(2 * d - 1), 2 * d, 2)
-    points = [["point", float(lr), float(li)] for lr in levels for li in levels]
-    thresholds = [["axis_threshold", float(t), ""] for t in range(-(2 * d - 2), 2 * d - 1, 2)]
+    levels = QamConstellation(d).levels.astype(float)
+    points = [["point", lr, li] for lr in levels for li in levels]
+    thresholds = [["axis_threshold", t, ""] for t in levels[:-1] + 1]
     return _write_csv(path, ["kind", "re", "im"], points + thresholds)
 
 

@@ -17,30 +17,26 @@ samples.  State is local to one call: the error feedback starts from
 zero at every frame, so frames (and therefore OFDM blocks) are
 independent.
 
-:func:`modulate` is quiet; a caller counts overloads with
-:func:`count_overloads`.  :func:`modulate_first_order` and
-:func:`modulate_second_order`, the entry points for probing overload on
-purpose, also emit an :class:`OverloadWarning` when an input sample
-exceeds the no-overloading bound.
+:func:`modulate` is the one entry point of both loops.  It emits no
+warning when an input sample exceeds the no-overloading bound: a caller
+counts such samples with :func:`count_overloads` (the experiments report
+the count as the ``overloads`` column of ``ber.csv``).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from .errors import OverloadWarning, ShapeMismatch
+from .errors import ShapeMismatch
 from .pa import PaModel, ShapingBudget, apply_pa
 
 __all__ = [
     "ModulatorConfig",
     "modulate",
-    "modulate_first_order",
-    "modulate_second_order",
     "count_overloads",
     "shaped_power",
     "shaped_distortion_power",
@@ -103,24 +99,6 @@ def _check_frame(x: np.ndarray, cfg: ModulatorConfig) -> np.ndarray:
     return x
 
 
-def _modulate_warning(order: int, cfg: ModulatorConfig, x):
-    """:func:`modulate` for a config of loop order `order`, with an
-    :class:`OverloadWarning` when an input sample is over the bound."""
-    if cfg.order != order:
-        raise ValueError(f"config is not {('first', 'second')[order - 1]} order")
-    x = _check_frame(x, cfg)
-    n_over = count_overloads(cfg, x)
-    if n_over:
-        warnings.warn(
-            f"{n_over} modulator input samples exceed the no-overloading "
-            f"bound {cfg.input_bound:.6g}; the loop still runs but the "
-            "distortion bounds no longer apply",
-            OverloadWarning,
-            stacklevel=3,
-        )
-    return modulate(cfg, x)
-
-
 def count_overloads(cfg: ModulatorConfig, x) -> int:
     """Number of input samples whose amplitude exceeds the bound."""
     return int(np.count_nonzero(np.abs(np.asarray(x)) > cfg.input_bound + 1e-12))
@@ -131,52 +109,23 @@ def count_overloads(cfg: ModulatorConfig, x) -> int:
 _FEEDBACK = {1: (1.0,), 2: (2.0, -1.0)}
 
 
-def modulate_first_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the first-order loop over an antenna frame.
-
-    Parameters
-    ----------
-    cfg : ModulatorConfig
-        Must have ``order == 1``.
-    x : (N, T) complex array
-        Modulator input frame.
-
-    Returns
-    -------
-    (u, q, b) : three (N, T) complex arrays
-        PA outputs, per-antenna distortion, and PA inputs.  The exact
-        identity ``u_n = A*x_n + A*(q_n - q_{n-1})`` holds to machine
-        precision.  If ``cfg.tail_removing``, the last antenna uses an
-        ideal PA, so its distortion is zero whenever ``|b_N| <= r_max``.
-
-    An :class:`OverloadWarning` is emitted when any input sample exceeds
-    ``cfg.input_bound``; the loop still runs (the PA is total) so
-    overload behaviour can be probed deliberately.
-    """
-    return _modulate_warning(1, cfg, x)
-
-
-def modulate_second_order(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the second-order loop (doubled feedback) over an antenna frame.
-
-    Same contract as :func:`modulate_first_order` with the identity
-    ``u_n = A*x_n + A*(q_n - 2 q_{n-1} + q_{n-2})`` and, for the
-    tail-removing variant, ideal PAs on the last two antennas.
-    """
-    return _modulate_warning(2, cfg, x)
-
-
 def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the loop of order `cfg.order` over an antenna frame.
+    """Run the loop of order `cfg.order` over an (N, T) antenna frame `x`.
 
     The error-feedback recurrence ``b_n = x_n - sum_k c_k q_{n-k}``,
     ``u_n = G_n(b_n)``, ``q_n = u_n/A - b_n`` over the antenna index, with
     ``q_n = 0`` before the first antenna.  ``G_n`` is the configured PA,
-    or an ideal one on the last ``cfg.n_tail`` antennas.  Contract as in
-    :func:`modulate_first_order`, but quiet: it emits no
-    :class:`OverloadWarning` (count overloads with :func:`count_overloads`).
-    Raises ``ValueError`` at the first antenna whose PA input is not
-    finite.
+    or an ideal one on the last ``cfg.n_tail`` antennas, whose distortion
+    is then zero whenever ``|b_n| <= r_max``.
+
+    Returns ``(u, q, b)``, three (N, T) complex arrays: PA outputs,
+    per-antenna distortion and PA inputs.  The identity
+    ``u_n = A x_n + A (q_n - sum_k c_k q_{n-k})`` holds to machine
+    precision (``q_n - q_{n-1}`` at first order, ``q_n - 2 q_{n-1} +
+    q_{n-2}`` at second).  Input samples over ``cfg.input_bound`` void the
+    distortion bounds but not the loop (the PA is total); count them with
+    :func:`count_overloads`.  Raises ``ValueError`` at the first antenna
+    whose PA input is not finite.
     """
     x = _check_frame(x, cfg)
     n_antennas = x.shape[0]

@@ -19,7 +19,7 @@ from sdmimo.precoding import (
     zf_precode,
 )
 from sdmimo.qam import QamConstellation, dp_real_component
-from sdmimo.sigma_delta import ModulatorConfig, modulate_first_order, modulate_second_order
+from sdmimo.sigma_delta import ModulatorConfig, modulate
 
 from conftest import complex_uniform_disk
 from fine_grid import fine_grid_propagate
@@ -54,7 +54,7 @@ def test_criterion_01_no_overloading_bounds():
     rng = substream(1, 0)
     x = complex_uniform_disk(rng, (32, 10_000), 1.0)
     x *= cfg.input_bound / np.abs(x).max()
-    u, q, b = modulate_first_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     b_max, q_max = float(np.abs(b).max()), float(np.abs(q).max())
     assert b_max <= RAPP_BUDGET.chi + 1e-9
     assert q_max <= RAPP_BUDGET.psi + 1e-9
@@ -67,14 +67,14 @@ def test_criterion_02_telescoping_identities():
     rng = substream(2, 0)
     cfg1 = ModulatorConfig(order=1, tail_removing=False, pa=RAPP, budget=RAPP_BUDGET)
     x = complex_uniform_disk(rng, (16, 2048), cfg1.input_bound)
-    u, q, _ = modulate_first_order(cfg1, x)
+    u, q, _ = modulate(cfg1, x)
     q1 = np.vstack([np.zeros((1, x.shape[1])), q[:-1]])
     rel1 = float(np.abs(u - 16.0 * (x + q - q1)).max() / np.abs(u).max())
     assert rel1 <= 1e-12
 
     cfg2 = ModulatorConfig(order=2, tail_removing=False, pa=RAPP, budget=RAPP_BUDGET)
     x = complex_uniform_disk(rng, (16, 2048), cfg2.input_bound)
-    u, q, _ = modulate_second_order(cfg2, x)
+    u, q, _ = modulate(cfg2, x)
     pad = np.zeros((2, x.shape[1]))
     q1 = np.vstack([pad[:1], q[:-1]])
     q2 = np.vstack([pad, q[:-2]])
@@ -93,7 +93,7 @@ def test_criterion_03_broadside_cancellation():
     worst = 0.0
     for _ in range(50):
         x = bound * np.exp(1j * rng.uniform(-np.pi, np.pi, (n, samples)))
-        u, _, _ = modulate_first_order(cfg_t, x)
+        u, _, _ = modulate(cfg_t, x)
         xi = np.sum(u - 16.0 * x, axis=0)
         worst = max(worst, float(np.mean(np.abs(xi) ** 2)))
     assert worst <= 1e-20
@@ -106,10 +106,10 @@ def test_criterion_03_broadside_cancellation():
     p_tail = np.empty(n_frames)
     for f in range(n_frames):
         x = bound * np.exp(1j * rng_a.uniform(-np.pi, np.pi, (n, samples)))
-        u, _, _ = modulate_first_order(cfg_p, x)
+        u, _, _ = modulate(cfg_p, x)
         p_beam[f] = np.mean(np.abs(np.sum(u - 16.0 * x, axis=0)) ** 2)
         x = bound * np.exp(1j * rng_b.uniform(-np.pi, np.pi, (n, samples)))
-        _, q, _ = modulate_first_order(cfg_p, x)
+        _, q, _ = modulate(cfg_p, x)
         p_tail[f] = 16.0**2 * np.mean(np.abs(q[-1]) ** 2)
     diff = abs(p_beam.mean() - p_tail.mean())
     band = 3.0 * math.sqrt(p_beam.var() / n_frames + p_tail.var() / n_frames)
@@ -151,7 +151,7 @@ def test_criterion_05_ofdm_channel_consistency():
     model = ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
     err = 0.0
     # the chain, and the independent fine-grid oracle, against the model
-    for y in (propagate(chan, u, 0.0), fine_grid_propagate(chan, u)):
+    for y in (propagate(chan, u), fine_grid_propagate(chan, u)):
         r = receiver_dft(ofdm, y)
         err = max(err, float(np.max(np.abs(r - model) / np.abs(model).max())))
     assert err <= 1e-6

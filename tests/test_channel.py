@@ -12,6 +12,7 @@ from sdmimo.channel import (
     DiracFilter,
     RrcFilter,
     UlaGeometry,
+    add_noise,
     channel_from_paths,
     distortion_noise_power,
     draw_channel,
@@ -160,7 +161,7 @@ def test_propagate_zero_input():
     geom = UlaGeometry(n=4, d_over_lambda=0.125)
     ofdm = OfdmParams(m=32, m_s=20, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(1), geom, ofdm, 2, 4, 20, pa_gain=16.0)
-    y = propagate(chan, np.zeros((4, ofdm.m_cp + ofdm.m), dtype=complex), 0.0)
+    y = propagate(chan, np.zeros((4, ofdm.m_cp + ofdm.m), dtype=complex))
     assert y.shape == (2, 72)
     assert not y.any()
 
@@ -182,7 +183,7 @@ def test_propagate_matches_tap_model():
             idx = m - l + ofdm.m_cp
             if 0 <= idx < x_cp.shape[1]:
                 y_model[:, m] += chan.taps[:, l, :] @ x_cp[:, idx]
-    for y in (propagate(chan, u, 0.0), fine_grid_propagate(chan, u)):
+    for y in (propagate(chan, u), fine_grid_propagate(chan, u)):
         err = np.max(np.abs(y[:, ofdm.m_cp:] - y_model)) / np.max(np.abs(y_model))
         assert err <= 1e-6
 
@@ -233,7 +234,7 @@ def test_full_chain_frequency_consistency():
     chan = draw_channel(rng, geom, ofdm, 2, 4, 22, rx_filter=RrcFilter(), pa_gain=16.0)
     z = 0.01 * (rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
     u = 16.0 * idft_modulate(ofdm, z).with_cp
-    r = receiver_dft(ofdm, propagate(chan, u, 0.0))
+    r = receiver_dft(ofdm, propagate(chan, u))
     model = ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
     assert np.max(np.abs(r - model)) / np.max(np.abs(model)) <= 1e-6
 
@@ -243,18 +244,15 @@ def test_noise_statistics():
     ofdm = OfdmParams(m=256, m_s=100, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(2), geom, ofdm, 3, 4, 20, pa_gain=16.0)
     sigma_v2 = 0.25
-    y = propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), sigma_v2,
-                  np.random.default_rng(3))
+    y0 = propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex))
+    y = add_noise(y0, sigma_v2, np.random.default_rng(3))
     power = float(np.mean(np.abs(y) ** 2))
     assert power == pytest.approx(sigma_v2, rel=0.1)
 
 
-def test_propagate_requires_rng_with_noise():
-    geom = UlaGeometry(n=2, d_over_lambda=0.125)
-    ofdm = OfdmParams(m=16, m_s=10, m_cp=40, osf=7)
-    chan = draw_channel(np.random.default_rng(2), geom, ofdm, 1, 4, 20)
+def test_add_noise_requires_rng():
     with pytest.raises(ValueError):
-        propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), 0.1)
+        add_noise(np.zeros((1, 56), dtype=complex), 0.1, None)
 
 
 def test_propagate_shape_check():
@@ -262,7 +260,7 @@ def test_propagate_shape_check():
     ofdm = OfdmParams(m=16, m_s=10, m_cp=40, osf=7)
     chan = draw_channel(np.random.default_rng(2), geom, ofdm, 1, 4, 20)
     with pytest.raises(ShapeMismatch):
-        propagate(chan, np.zeros((2, 5), dtype=complex), 0.0)
+        propagate(chan, np.zeros((2, 5), dtype=complex))
 
 
 def test_delay_beyond_cp_rejected():
@@ -271,7 +269,7 @@ def test_delay_beyond_cp_rejected():
     chan = channel_from_paths(geom, ofdm, [[1.0]], [[0.0]], [[12.0]], 4,
                               DiracFilter(), 1.0)
     with pytest.raises(ValueError):
-        propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex), 0.0)
+        propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex))
 
 
 def test_tap_grid_convergence():

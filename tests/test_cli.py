@@ -188,7 +188,8 @@ def test_empty_modulator_budget_exits_3_under_backoff(tmp_path, capsys):
 @pytest.mark.parametrize("argv_extra,edit", [
     ([], {"noise": {"sigma_v2": [float("nan")]}}),
     (["--seed", "-1"], {}),
-], ids=["sigma_v2-nan", "seed-override-negative"])
+    ([], {"system": {"n": 4, "k": 2, "m": 64, "m_s": 40, "qam_d": 3}}),
+], ids=["sigma_v2-nan", "seed-override-negative", "qam_d-3"])
 def test_invalid_values_exit_3(tiny_config, tmp_path, capsys, argv_extra, edit):
     doc = {**json.loads(tiny_config.read_text()), **edit}
     cfg = tmp_path / "bad.json"

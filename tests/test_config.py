@@ -166,9 +166,24 @@ def test_pa_section_round_trip_per_kind(block, expected):
     ("run", {**_minimal()["run"], "seed": -1}),
     ("system", {**_minimal()["system"], "l_taps": 0}),
     ("system", {**_minimal()["system"], "j_paths": 0}),
+    ("system", {**_minimal()["system"], "qam_d": 3}),
+    ("system", {**_minimal()["system"], "qam_d": 5}),
+    ("system", {**_minimal()["system"], "qam_d": 6}),
+    ("system", {**_minimal()["system"], "rrc_rolloff": 3.0}),
+    ("system", {**_minimal()["system"], "rrc_rolloff": -0.1}),
+    ("system", {**_minimal()["system"], "rrc_span_ts": 0.0}),
+    ("system", {**_minimal()["system"], "rrc_span_ts": -1.0}),
+    ("system", {**_minimal()["system"], "rrc_span_ts": 0.05}),   # 0.35 steps of 1/osf
+    ("system", {**_minimal()["system"], "angle_spread_deg": -5.0}),
+    ("system", {**_minimal()["system"], "angle_spread_deg": 90.5}),
+    ("run", {**_minimal()["run"], "spectrum_frames": 0}),
+    ("run", {**_minimal()["run"], "spectrum_samples": 0}),
 ], ids=["sigma_v2-nan", "sigma_v2-inf", "db-minus-inf", "db-overflow", "db-nan",
         "sigma_v2-empty", "db-empty", "chi-nan", "chi-inf", "seed-negative",
-        "l_taps-0", "j_paths-0"])
+        "l_taps-0", "j_paths-0", "qam_d-3", "qam_d-5", "qam_d-6", "rolloff-3",
+        "rolloff-negative", "span-0", "span-negative", "span-under-one-step",
+        "angle_spread-negative", "angle_spread-over-90", "spectrum_frames-0",
+        "spectrum_samples-0"])
 def test_invalid_values_rejected(section, value):
     with pytest.raises(ConfigError):
         config_from_dict({**_minimal(), section: value})

@@ -227,7 +227,7 @@ def _per_point_zf_counts(ctx, trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         result = hz._precode(ctx, chan, symbols, sigma_v2=0.0)
         u, _ = hz._transmit(ctx, result.x)
-        y0 = propagate(chan, u, 0.0)
+        y0 = propagate(chan, u)
         for si, sv2 in enumerate(cfg.sigma_v2):
             r = receiver_dft(ctx.ofdm, add_noise(y0, sv2, rng))
             s_hat = detect(r, ctx.ofdm.m * result.beta[:, None], ctx.const)
@@ -284,8 +284,9 @@ def test_scatter_deterministic():
 
 def test_scatter_subcarrier_range_checked():
     doc = _tiny_doc("zf-ref")
+    doc["run"]["scatter_subcarrier"] = 40
     with pytest.raises(ConfigError):
-        run_scatter(config_from_dict(doc), subcarrier=40)
+        run_scatter(config_from_dict(doc))
 
 
 def test_shaping_spectrum_rows():
@@ -362,7 +363,7 @@ def test_zf_block_with_ideal_pas_is_received_exactly(n, k_frac, seed):
         event("rank-deficient channel skipped")
         assume(False)
     u, n_over = hz._transmit(ctx, design.x)
-    r = receiver_dft(ctx.ofdm, propagate(chan, u, 0.0))
+    r = receiver_dft(ctx.ofdm, propagate(chan, u))
     scale = ctx.ofdm.m * design.beta[:, None]
     assert n_over == 0
     assert np.max(np.abs(r / scale - symbols)) <= _ZF_EXACT_TOL

@@ -266,6 +266,18 @@ def test_gray_bits_adjacent_levels_differ_by_one():
         assert errs == 1
 
 
+def test_bits_per_axis_bounds_every_symbol_pair():
+    # the Gray codes of 2d levels span exactly bits_per_axis bits, so the
+    # worst symbol pair flips every bit a BER row counts for it
+    for d in (1, 2, 4, 8):
+        const = QamConstellation(d)
+        pts = const.points
+        flips = symbols_to_bits_errors(pts[:, None, None, None], pts[None, :, None, None], const)
+        assert flips.max() == 2 * const.bits_per_axis
+    with pytest.raises(ValueError, match="power of two"):
+        QamConstellation(3).bits_per_axis
+
+
 def test_bit_error_count_matches_manual():
     const = QamConstellation(d=2)   # levels -3,-1,1,3 -> gray 00,01,11,10
     s_true = np.array([3 + 3j])

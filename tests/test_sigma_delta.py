@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdmimo import sigma_delta
-from sdmimo.errors import OverloadWarning, ShapeMismatch
+from sdmimo.errors import ShapeMismatch
 from sdmimo.ofdm import OfdmParams, sample_hold
 from sdmimo.pa import PaModel, ShapingBudget
 from sdmimo.sigma_delta import (
     ModulatorConfig,
     count_overloads,
     modulate,
-    modulate_first_order,
-    modulate_second_order,
     shaped_distortion_power,
 )
 
@@ -55,7 +53,7 @@ def test_first_order_no_overloading_bounds(pa_name, seed, request):
     rng = np.random.default_rng(seed)
     x = complex_uniform_disk(rng, (8, 512), 1.0)
     x *= cfg.input_bound / np.abs(x).max()
-    u, q, b = modulate_first_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     assert np.abs(b).max() <= cfg.budget.chi + 1e-9
     assert np.abs(q).max() <= cfg.budget.psi + 1e-9
 
@@ -65,7 +63,7 @@ def test_second_order_no_overloading_bounds(rapp_pa):
     rng = np.random.default_rng(3)
     x = complex_uniform_disk(rng, (16, 512), 1.0)
     x *= cfg.input_bound / np.abs(x).max()
-    u, q, b = modulate_second_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     assert np.abs(b).max() <= cfg.budget.chi + 1e-9
     assert np.abs(q).max() <= cfg.budget.psi + 1e-9
 
@@ -77,7 +75,7 @@ def test_first_order_recurrence_matches_scalar_replay(rapp_pa):
     cfg = _cfg(rapp_pa)
     rng = np.random.default_rng(4)
     x = complex_uniform_disk(rng, (3, 5), cfg.input_bound)
-    u, q, b = modulate_first_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     for t in range(x.shape[1]):
         q_prev = 0.0
         for n in range(x.shape[0]):
@@ -96,7 +94,7 @@ def test_second_order_recurrence_matches_scalar_replay(rapp_pa):
     cfg = _cfg(rapp_pa, order=2)
     rng = np.random.default_rng(5)
     x = complex_uniform_disk(rng, (3, 4), cfg.input_bound)
-    u, q, b = modulate_second_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     for t in range(x.shape[1]):
         q1 = 0.0
         q2 = 0.0
@@ -116,7 +114,7 @@ def test_first_order_output_identity(rapp_pa, tail):
     cfg = _cfg(rapp_pa, tail=tail)
     rng = np.random.default_rng(6)
     x = complex_uniform_disk(rng, (12, 256), cfg.input_bound)
-    u, q, b = modulate_first_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     q_shift = np.vstack([np.zeros((1, x.shape[1])), q[:-1]])
     resid = u - rapp_pa.gain * x - rapp_pa.gain * (q - q_shift)
     assert np.abs(resid).max() <= 1e-12 * np.abs(u).max()
@@ -126,7 +124,7 @@ def test_second_order_output_identity(rapp_pa):
     cfg = _cfg(rapp_pa, order=2)
     rng = np.random.default_rng(7)
     x = complex_uniform_disk(rng, (10, 128), cfg.input_bound)
-    u, q, b = modulate_second_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     pad = np.zeros((2, x.shape[1]))
     q1 = np.vstack([pad[:1], q[:-1]])
     q2 = np.vstack([pad, q[:-2]])
@@ -138,7 +136,7 @@ def test_tail_removal_zeroes_last_distortion(rapp_pa):
     cfg = _cfg(rapp_pa, tail=True)
     rng = np.random.default_rng(8)
     x = complex_uniform_disk(rng, (9, 200), cfg.input_bound)
-    u, q, b = modulate_first_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     assert np.abs(q[-1]).max() == 0.0
     # broadside sum telescopes exactly: sum_n u_n = A sum_n x_n
     assert np.allclose(u.sum(axis=0), rapp_pa.gain * x.sum(axis=0), atol=1e-12)
@@ -149,7 +147,7 @@ def test_second_order_tail_removal(rapp_pa):
                           budget=ShapingBudget.from_pa(rapp_pa, rapp_pa.r_max))
     rng = np.random.default_rng(9)
     x = complex_uniform_disk(rng, (8, 100), cfg.input_bound)
-    u, q, b = modulate_second_order(cfg, x)
+    u, q, b = modulate(cfg, x)
     assert np.abs(q[-2:]).max() == 0.0
 
 
@@ -166,25 +164,18 @@ def test_one_bit_quantizer_stub_bound(monkeypatch):
     assert np.abs(q).max() <= 1.0 + 1e-12
 
 
-def test_overload_warning_and_count(rapp_pa):
+def test_overload_count(rapp_pa):
     cfg = _cfg(rapp_pa)
     x = np.full((4, 10), 2.0 * cfg.input_bound, dtype=complex)
     assert count_overloads(cfg, x) == 40
-    with pytest.warns(OverloadWarning):
-        modulate_first_order(cfg, x)
 
 
 def test_shape_validation(rapp_pa):
     cfg = _cfg(rapp_pa, tail=True)
     with pytest.raises(ShapeMismatch):
-        modulate_first_order(cfg, np.zeros(10, dtype=complex))
+        modulate(cfg, np.zeros(10, dtype=complex))
     with pytest.raises(ShapeMismatch):
-        modulate_first_order(cfg, np.zeros((1, 10), dtype=complex))
-
-
-def test_order_mismatch_rejected(rapp_pa):
-    with pytest.raises(ValueError):
-        modulate_second_order(_cfg(rapp_pa, order=1), np.zeros((4, 4), complex))
+        modulate(cfg, np.zeros((1, 10), dtype=complex))
 
 
 def test_config_requires_positive_bound(ideal_pa):
@@ -275,10 +266,8 @@ def test_modulate_commutes_with_hold(scheme, x, osf):
     # bit-identical to holding the symbol-rate loop's outputs
     cfg = ModulatorConfig.from_scheme(scheme, _RAPP, _RAPP_BUDGET)
     params = OfdmParams(m=x.shape[1], m_s=1, m_cp=0, osf=osf)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OverloadWarning)
-        held_first = modulate(cfg, sample_hold(params, x))
-        loop_first = modulate(cfg, x)
+    held_first = modulate(cfg, sample_hold(params, x))
+    loop_first = modulate(cfg, x)
     for a, b in zip(held_first, loop_first):
         assert a.tobytes() == sample_hold(params, b).tobytes()
 
@@ -298,9 +287,7 @@ def test_loop_matches_per_order_oracle(model, scheme, x):
     # the one error-feedback recurrence reproduces the per-order loops with
     # their per-antenna PA list bit for bit, overloaded samples included
     cfg = ModulatorConfig.from_scheme(scheme, model, ShapingBudget.from_pa(model, model.r_max))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", OverloadWarning)
-        got = modulate(cfg, x)
+    got = modulate(cfg, x)
     for a, b in zip(got, modulate_oracle(cfg, x)):
         assert np.array_equal(a, b)
 
