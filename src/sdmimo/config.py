@@ -255,6 +255,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("system: rrc_rolloff must lie in [0, 1]")
     if not (0 <= sys_.angle_spread_deg <= 90):
         raise ConfigError("system: angle_spread_deg must lie in [0, 90]")
+    if sys_.angle_spread_deg == 0 and sys_.k >= 2:
+        # every path then leaves at broadside: each subcarrier's channel has rank 1
+        raise ConfigError("system: angle_spread_deg 0 gives rank-one channels, so k must be 1")
     if sys_.j_paths < 1 or sys_.l_taps < 1:
         raise ConfigError("system: j_paths and l_taps must be >= 1")
     if sys_.delay_max_ts < sys_.delay_min_ts or sys_.delay_min_ts < 0:

@@ -14,7 +14,11 @@ detection probabilities, equivalently minimizes
 
 subject to X = Z F_s^T, max-amplitude feasibility of X, and beta >= 0.
 The splitting alternates a closed-form projection in X, an APG solve in
-(beta, Z), and a dual ascent step.
+(beta, Z), and a dual ascent step.  Each solve lays the problem's
+constants out once (a private objective object) and evaluates F at each
+point once: the value comes with the point evaluated, the Gaussian
+densities and the gradient only where the inner loop asks for them, and
+a round starts from the evaluation its predecessor ended on.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .errors import ShapeMismatch
 from .ofdm import TimeGrid, idft_modulate
-from .qam import dp_components
+from .qam import _margins, _phi_pdf, dp_components
 
 __all__ = [
     "PrecodeResult",
@@ -151,67 +155,80 @@ def project_amplitude(x: np.ndarray, bound: float) -> np.ndarray:
     return out
 
 
-def _received_grid(chan: ChannelRealization, z: np.ndarray) -> np.ndarray:
-    """Noise-free model received values h_{i,p}^T z_p, shape (K, m_s)."""
-    return np.einsum("pkn,np->kp", chan.freq, z)
+class _SlpObjective:
+    """F(beta, Z) of one symbol-level problem, with what depends only on the
+    problem (channel, symbols, noise levels, d) laid out once per solve.
+
+    The received values ``h_{i,p}^T z_p`` are formed per subcarrier as one
+    batched product, shape (m_s, K) complex, and read as their (m_s, K, 2)
+    real view: I and Q of one entry side by side.  The symbol levels are
+    kept in the same layout, so one `dp_components` call covers both
+    components with no stacking.
+
+    :meth:`value` evaluates no Gaussian density; it returns F together with
+    the evaluated point, from which :meth:`grad` forms the gradients.  A
+    caller that needs F at many points and gradients at few pays for the
+    densities only where it asks for them.
+    """
+
+    def __init__(self, chan: ChannelRealization, symbols, sigma_eta, d: int):
+        symbols = np.asarray(symbols, dtype=complex)
+        sigma_eta = np.asarray(sigma_eta, dtype=float)
+        k_users, m_s = symbols.shape
+        self.freq = chan.freq                                                  # (m_s, K, N)
+        self.freq_h = np.ascontiguousarray(chan.freq.conj().transpose(0, 2, 1))  # (m_s, N, K)
+        self.levels = np.ascontiguousarray(symbols.T).reshape(m_s, k_users, 1).view(float)
+        self.sigma = sigma_eta.reshape(1, -1, 1)
+        self.d = d
+
+    def value(self, beta, z):
+        """``(F, point)``: the objective, capped at a large finite value when
+        any DP underflows so that line searches stay finite, and the point
+        in the form :meth:`grad` takes."""
+        v = np.matmul(self.freq, z.T[:, :, None]).view(float)    # (m_s, K, 2)
+        beta_col = beta.reshape(1, -1, 1)
+        dp, _, _ = dp_components(self.levels, v, beta_col, self.sigma, self.d, need_grad=False)
+        dp_safe = np.maximum(dp, _DP_FLOOR)
+        f = min(0.0 - float(np.log(dp_safe).sum()), _OBJECTIVE_CAP)
+        return f, (beta_col, v, dp_safe)
+
+    def grad(self, point):
+        """``(grad_beta, grad_Z)`` at a point returned by :meth:`value`."""
+        beta_col, v, dp_safe = point
+        s = self.levels
+        ta, tc = _margins(s, v, beta_col, self.sigma, self.d)
+        phi_hi, phi_lo = _phi_pdf(ta), _phi_pdf(tc)
+        scale = math.sqrt(2.0) / (self.sigma * dp_safe)
+        g_v = scale * (phi_hi - phi_lo)                          # (m_s, K, 2): d F / d v
+        grad_beta = -(scale * (phi_hi * (1.0 + s) - phi_lo * (s - 1.0))).sum(axis=(0, 2))
+        # the real view read back as complex is g_R + j g_I, (m_s, K, 1)
+        grad_z = np.matmul(self.freq_h, g_v.view(complex))[:, :, 0].T
+        return grad_beta, grad_z
 
 
-def slp_objective(beta, z, chan: ChannelRealization, symbols, sigma_eta, d: Optional[int] = None) -> float:
+def slp_objective(beta, z, chan: ChannelRealization, symbols, sigma_eta, d: int) -> float:
     """Negative sum of log detection probabilities over users, subcarriers,
-    and I/Q components; capped at a large finite value when any DP
-    underflows so that line searches stay finite."""
-    f, _, _ = slp_objective_and_grad(beta, z, chan, symbols, sigma_eta, d=d, need_grad=False)
+    and I/Q components of the 4 d^2-point constellation; capped at a large
+    finite value when any DP underflows so that line searches stay finite."""
+    f, _ = _SlpObjective(chan, symbols, sigma_eta, d).value(
+        np.asarray(beta, dtype=float), np.asarray(z, dtype=complex))
     return f
 
 
-def slp_objective_and_grad(
-    beta,
-    z,
-    chan: ChannelRealization,
-    symbols,
-    sigma_eta,
-    d: Optional[int] = None,
-    need_grad: bool = True,
-):
-    """Objective F(beta, Z) with gradients.
+def slp_objective_and_grad(beta, z, chan: ChannelRealization, symbols, sigma_eta, d: int):
+    """Objective F(beta, Z) with gradients, ``(F, grad_beta, grad_Z)``.
 
     The gradient w.r.t. Z follows the convention
     ``F(Z + dZ) ~= F(Z) + Re tr(G^H dZ)``, i.e. real and imaginary parts
     of G are the partial derivatives w.r.t. the real and imaginary parts
-    of Z.  Returns ``(F, grad_beta, grad_Z)``; the gradients are None
-    when `need_grad` is false, and then no Gaussian densities are
-    evaluated.
-
-    The I and Q components go through one `dp_components` call on
-    stacked ``(2, K, m_s)`` arrays.  Their sums are still taken per
-    component, I then Q, starting from zero, so F and the gradients
-    round exactly as a per-component evaluation would.
+    of Z.  F is the value :func:`slp_objective` gives at the same point;
+    the sums over users, subcarriers and I/Q run over one interleaved
+    array, so they round differently from per-component sums (by ulps).
     """
-    symbols = np.asarray(symbols, dtype=complex)
-    beta = np.asarray(beta, dtype=float)
-    sigma_eta = np.asarray(sigma_eta, dtype=float)
-    if d is None:
-        d = int(round((np.abs(symbols.real).max() + 1) / 2))
-    v = _received_grid(chan, np.asarray(z, dtype=complex))
-    s_iq = np.stack((symbols.real, symbols.imag))
-    sig_col = sigma_eta[:, None]
-
-    dp, phi_hi, phi_lo = dp_components(
-        s_iq, np.stack((v.real, v.imag)), beta[:, None], sig_col, d, need_grad=need_grad
-    )
-    dp_safe = np.maximum(dp, _DP_FLOOR)
-    logdp = np.log(dp_safe)
-    f_total = min(0.0 - float(logdp[0].sum()) - float(logdp[1].sum()), _OBJECTIVE_CAP)
-    if not need_grad:
-        return f_total, None, None
-
-    scale = math.sqrt(2.0) / (sig_col * dp_safe)
-    g_v = scale * (phi_hi - phi_lo)
-    g_beta = (scale * (phi_hi * (1.0 + s_iq) - phi_lo * (s_iq - 1.0))).sum(axis=2)
-    grad_beta = 0.0 - g_beta[0] - g_beta[1]
-    coef = 0.0 + g_v[0] + 1j * g_v[1]
-    grad_z = np.einsum("pkn,kp->np", chan.freq.conj(), coef)
-    return f_total, grad_beta, grad_z
+    obj = _SlpObjective(chan, symbols, sigma_eta, d)
+    f, point = obj.value(np.asarray(beta, dtype=float), np.asarray(z, dtype=complex))
+    grad_beta, grad_z = obj.grad(point)
+    return f, grad_beta, grad_z
 
 
 def _time_to_subcarriers(e: np.ndarray, m_s: int) -> np.ndarray:
@@ -219,45 +236,44 @@ def _time_to_subcarriers(e: np.ndarray, m_s: int) -> np.ndarray:
     return np.fft.fft(e, axis=1)[:, :m_s]
 
 
-def _apg_solve(
-    chan, symbols, sigma_eta, d, beta0, z0, w_target, rho, max_iter, tol, gamma0
-):
+def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0):
     """Accelerated proximal gradient for
     ``min_{beta >= 0, Z} F(beta, Z) + rho/2 ||W - Z F_s^T||_F^2``.
 
     The quadratic coupling term has Hessian ``rho * M * I`` (the padded
     IDFT satisfies ``A^H A = M I``), so it is handled inside the
     proximal step in closed form together with the nonnegativity clip on
-    beta; only the detection-probability sum F is treated as the smooth
-    part.  This keeps the step size governed by F's curvature rather
-    than by ``rho * M``, which matters because the stopping rule below
-    is an absolute step-size test.
+    beta; only the detection-probability sum F (`obj`, a
+    :class:`_SlpObjective`) is treated as the smooth part.  This keeps the
+    step size governed by F's curvature rather than by ``rho * M``, which
+    matters because the stopping rule below is an absolute step-size test.
 
     Nesterov extrapolation with mu_{-1} = 0.  Backtracking starts from
     step 1.0, halves, and re-expands by 2 per iteration; a step is
     accepted when the smooth part passes its quadratic majorization
     test (sufficient-decrease slack 1e-4).  Stops when the squared
     iterate step drops below `tol` or after `max_iter` iterations
-    (at least one).  Returns ``(beta, Z, step, iterations, F)``: the
-    iterate, the last accepted step, the iteration count, and the smooth
-    part F at the returned iterate, which is the last accepted
-    line-search value (it was evaluated at exactly that point).
-    """
-    m = chan.ofdm.m
-    m_s = chan.ofdm.m_s
-    w_spec = rho * _time_to_subcarriers(w_target, m_s)   # rho * W conj(F_s)
+    (at least one).
 
-    def f_and_grad(beta, z, need_grad=True):
-        return slp_objective_and_grad(
-            beta, z, chan, symbols, sigma_eta, d=d, need_grad=need_grad
-        )
+    `eval0` is ``obj.value(beta0, z0)``, which the caller already has.
+    The first two extrapolation points are the current iterate itself
+    (the step from the previous iterate is zero, then its weight is), so
+    they reuse the evaluation at hand and only need the gradient: every
+    point is evaluated once.  Returns ``(beta, Z, step, iterations, eval)``:
+    the iterate, the last accepted step, the iteration count, and
+    ``obj.value`` at the returned iterate, which is the last accepted
+    line-search evaluation.
+    """
+    m, m_s = ofdm.m, ofdm.m_s
+    w_spec = rho * _time_to_subcarriers(w_target, m_s)   # rho * W conj(F_s)
 
     def prox(beta_v, z_v, step):
         beta_new = np.maximum(0.0, beta_v)
         z_new = (z_v + step * w_spec) / (1.0 + step * rho * m)
         return beta_new, z_new
 
-    beta, z = beta0.copy(), z0.copy()
+    beta, z = beta0, z0
+    f_cur, point_cur = eval0
     beta_prev, z_prev = beta, z
     mu_prev = 0.0
     gamma = gamma0
@@ -265,15 +281,21 @@ def _apg_solve(
     for _ in range(max_iter):
         iters += 1
         mu = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * mu_prev**2))
-        wgt = (mu_prev - 1.0) / mu
-        beta_ex = beta + wgt * (beta - beta_prev)
-        z_ex = z + wgt * (z - z_prev)
-        f_ex, g_beta, g_z = f_and_grad(beta_ex, z_ex)
+        if mu_prev <= 1.0:
+            # the first step from the previous iterate is zero, the second's
+            # weight is zero: the extrapolation point is the iterate itself
+            beta_ex, z_ex, f_ex, point_ex = beta, z, f_cur, point_cur
+        else:
+            wgt = (mu_prev - 1.0) / mu
+            beta_ex = beta + wgt * (beta - beta_prev)
+            z_ex = z + wgt * (z - z_prev)
+            f_ex, point_ex = obj.value(beta_ex, z_ex)
+        g_beta, g_z = obj.grad(point_ex)
         gamma = min(2.0 * gamma, 1.0)
 
         while True:
             beta_new, z_new = prox(beta_ex - gamma * g_beta, z_ex - gamma * g_z, gamma)
-            f_new, _, _ = f_and_grad(beta_new, z_new, need_grad=False)
+            f_new, point_new = obj.value(beta_new, z_new)
             d_beta = beta_new - beta_ex
             d_z = z_new - z_ex
             lin = float(np.dot(g_beta, d_beta)) + float(np.vdot(g_z, d_z).real)
@@ -283,14 +305,14 @@ def _apg_solve(
             gamma *= 0.5
 
         beta_prev, z_prev = beta, z
-        beta, z = beta_new, z_new
+        beta, z, f_cur, point_cur = beta_new, z_new, f_new, point_new
         mu_prev = mu
         step2 = float(np.sum((beta - beta_prev) ** 2)) + float(
             np.linalg.norm(z - z_prev) ** 2
         )
         if step2 <= tol:
             break
-    return beta, z, gamma, iters, f_new
+    return beta, z, gamma, iters, (f_cur, point_cur)
 
 
 def slp_precode(
@@ -298,13 +320,13 @@ def slp_precode(
     symbols: np.ndarray,
     budget: float,
     sigma_eta,
+    d: int,
     rho: Optional[float] = None,
     admm_max_iter: int = 30,
     apg_max_iter: int = 50,
     ftol: float = 1e-3,
     xtol: float = 1e-3,
     apg_tol: float = 1e-6,
-    d: Optional[int] = None,
     start: Optional[PrecodeResult] = None,
 ) -> PrecodeResult:
     """Symbol-level precoding by ADMM splitting.
@@ -317,7 +339,12 @@ def slp_precode(
     `admm_max_iter` rounds.  The returned X is the time-domain image of
     the final Z projected onto the amplitude ball, so the constraint
     holds exactly; `diagnostics["converged"]` is 0.0 when the caps were
-    hit with the residual still above tolerance (non-fatal).
+    hit with the residual still above tolerance (non-fatal).  `d` sets
+    the constellation, 4 d^2 points with levels up to 2d - 1 per axis.
+
+    The solve builds one :class:`_SlpObjective` and evaluates each point
+    once: a round's APG starts from the previous round's returned iterate
+    (the ZF point in round 1) with the evaluation already made there.
 
     When `rho` is None it defaults to ``max(100, K*m_s/5)``: the penalty
     has to track the objective's scale (a sum over K*m_s subcarrier
@@ -335,8 +362,6 @@ def slp_precode(
         raise ValueError("sigma_eta must be positive for every user")
     if apg_max_iter < 1:
         raise ValueError("apg_max_iter must be >= 1")
-    if d is None:
-        d = int(round((np.abs(symbols.real).max() + 1) / 2))
     if rho is None:
         rho = max(100.0, 0.2 * symbols.shape[0] * chan.ofdm.m_s)
 
@@ -346,7 +371,9 @@ def slp_precode(
     z = start.z.copy()
     lam = np.zeros((chan.geom.n, chan.ofdm.m), dtype=complex)
 
-    f_prev, _, _ = slp_objective_and_grad(beta, z, chan, symbols, sigma_eta, d=d, need_grad=False)
+    obj = _SlpObjective(chan, symbols, sigma_eta, d)
+    evaluation = obj.value(beta, z)
+    f_prev = evaluation[0]
     f_best = f_prev
     gamma = 1.0
     apg_total = 0
@@ -360,10 +387,11 @@ def slp_precode(
         rounds += 1
         x_block = project_amplitude(z_time - lam / rho, budget)
         w_target = x_block + lam / rho
-        beta, z, gamma, n_apg, f_cur = _apg_solve(
-            chan, symbols, sigma_eta, d, beta, z, w_target, rho,
+        beta, z, gamma, n_apg, evaluation = _apg_solve(
+            obj, chan.ofdm, beta, z, evaluation, w_target, rho,
             apg_max_iter, apg_tol, gamma,
         )
+        f_cur = evaluation[0]
         apg_total += n_apg
         z_time = idft_modulate(chan.ofdm, z).x
         lam = lam + rho * (x_block - z_time)

@@ -126,6 +126,17 @@ def _phi_pdf(t: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
 
 
+def _margins(s, v, beta, sigma_eta, d):
+    """Margin-normalized offsets ``(ta, tc)`` of the upper and lower decision
+    thresholds of levels `s` from received components `v`:
+    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, with +inf above the top
+    level and -inf below the bottom one."""
+    rt2 = np.sqrt(2.0)
+    ta = np.where(s >= 2 * d - 1, np.inf, rt2 * (beta * (1.0 + s) - v) / sigma_eta)
+    tc = np.where(s <= -(2 * d - 1), -np.inf, rt2 * (beta * (s - 1.0) - v) / sigma_eta)
+    return ta, tc
+
+
 def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
     """Vectorized per-component DP with the pieces needed for gradients.
 
@@ -148,11 +159,8 @@ def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
     """
     from scipy.special import ndtr
 
-    s = np.asarray(s_axis, dtype=float)
-    v = np.asarray(v_axis, dtype=float)
-    rt2 = np.sqrt(2.0)
-    ta = np.where(s >= 2 * d - 1, np.inf, rt2 * (beta * (1.0 + s) - v) / sigma_eta)
-    tc = np.where(s <= -(2 * d - 1), -np.inf, rt2 * (beta * (s - 1.0) - v) / sigma_eta)
+    ta, tc = _margins(np.asarray(s_axis, dtype=float), np.asarray(v_axis, dtype=float),
+                      beta, sigma_eta, d)
     sgn = np.where(ta + tc > 0, -1.0, 1.0)
     dp = sgn * (ndtr(sgn * ta) - ndtr(sgn * tc))
     if not need_grad:

@@ -256,7 +256,7 @@ chan = draw_channel(rng, UlaGeometry(n=4, d_over_lambda=0.125),
                     OfdmParams(m=64, m_s=40, m_cp=40, osf=7), 2, 4, 20,
                     rx_filter=RrcFilter(), pa_gain=16.0)
 symbols = QamConstellation(2).random_symbols(rng, (2, 40))
-f = slp_objective(np.ones(2), np.zeros((4, 40), dtype=complex), chan, symbols, np.ones(2))
+f = slp_objective(np.ones(2), np.zeros((4, 40), dtype=complex), chan, symbols, np.ones(2), d=2)
 print(json.dumps({"loaded": loaded, "finite": bool(np.isfinite(f)),
                   "special_after_slp": "scipy.special" in sys.modules}))
 """

@@ -176,17 +176,25 @@ def test_pa_section_round_trip_per_kind(block, expected):
     ("system", {**_minimal()["system"], "rrc_span_ts": 0.05}),   # 0.35 steps of 1/osf
     ("system", {**_minimal()["system"], "angle_spread_deg": -5.0}),
     ("system", {**_minimal()["system"], "angle_spread_deg": 90.5}),
+    ("system", {**_minimal()["system"], "angle_spread_deg": 0.0}),   # k = 2 at broadside
     ("run", {**_minimal()["run"], "spectrum_frames": 0}),
     ("run", {**_minimal()["run"], "spectrum_samples": 0}),
 ], ids=["sigma_v2-nan", "sigma_v2-inf", "db-minus-inf", "db-overflow", "db-nan",
         "sigma_v2-empty", "db-empty", "chi-nan", "chi-inf", "seed-negative",
         "l_taps-0", "j_paths-0", "qam_d-3", "qam_d-5", "qam_d-6", "rolloff-3",
         "rolloff-negative", "span-0", "span-negative", "span-under-one-step",
-        "angle_spread-negative", "angle_spread-over-90", "spectrum_frames-0",
-        "spectrum_samples-0"])
+        "angle_spread-negative", "angle_spread-over-90", "angle_spread-0-two-users",
+        "spectrum_frames-0", "spectrum_samples-0"])
 def test_invalid_values_rejected(section, value):
     with pytest.raises(ConfigError):
         config_from_dict({**_minimal(), section: value})
+
+
+def test_zero_angle_spread_accepted_for_one_user():
+    # every path leaves at broadside: a rank-one channel serves one user
+    doc = _minimal()
+    doc["system"] = {**doc["system"], "k": 1, "angle_spread_deg": 0.0}
+    assert config_from_dict(doc).system.angle_spread_deg == 0.0
 
 
 def test_noise_free_point_in_db_accepted():

@@ -22,7 +22,9 @@ from sdmimo.precoding import (
     slp_precode,
     zf_precode,
 )
+from sdmimo import precoding
 from sdmimo.qam import QamConstellation
+from slp_oracle import slp_objective_and_grad_oracle
 from zf_oracle import svd_min_norm_solve, svd_rank_deficient
 
 
@@ -313,6 +315,62 @@ def test_slp_gradient_matches_finite_differences():
         assert fd(0.0, dz) == pytest.approx(g_z[n_idx, p_idx].real, rel=1e-5)
         dz[n_idx, p_idx] = 1j * eps
         assert fd(0.0, dz) == pytest.approx(g_z[n_idx, p_idx].imag, rel=1e-5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 4]),
+       k=st.integers(1, 4), extra=st.integers(0, 4))
+def test_slp_objective_matches_stacked_oracle(seed, d, k, extra):
+    # the per-solve objective (interleaved I/Q layout, densities only for a
+    # gradient, batched adjoint) against the stacked per-component form
+    rng = np.random.default_rng(seed)
+    chan = _random_channel(rng, k + extra, k, 16, 10)
+    s = QamConstellation(d).random_symbols(rng, (k, 10))
+    try:
+        zf = zf_precode(chan, s, budget=0.0861)
+    except RankDeficient:
+        assume(False)
+    beta = zf.beta * rng.uniform(0.5, 1.5, size=k)
+    z = zf.z + 0.1 * np.abs(zf.z).mean() * (
+        rng.standard_normal(zf.z.shape) + 1j * rng.standard_normal(zf.z.shape))
+    sigma = zf.beta * rng.uniform(0.2, 3.0, size=k)
+    f, g_beta, g_z = slp_objective_and_grad(beta, z, chan, s, sigma, d)
+    f_ref, g_beta_ref, g_z_ref = slp_objective_and_grad_oracle(beta, z, chan, s, sigma, d)
+    assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+    assert np.linalg.norm(g_beta - g_beta_ref) <= 1e-10 * np.linalg.norm(g_beta_ref)
+    assert np.linalg.norm(g_z - g_z_ref) <= 1e-10 * np.linalg.norm(g_z_ref)
+    assert slp_objective(beta, z, chan, s, sigma, d) == f
+
+
+def test_slp_objective_requires_d():
+    # d is not inferred from the block: a 16-QAM block with no real part at
+    # +-3 would otherwise be scored as QPSK
+    _, chan, s, sigma = _slp_setup(13)
+    zf = zf_precode(chan, s, budget=0.0861)
+    with pytest.raises(TypeError):
+        slp_objective(zf.beta, zf.z, chan, s, sigma)
+    with pytest.raises(TypeError):
+        slp_objective_and_grad(zf.beta, zf.z, chan, s, sigma)
+    with pytest.raises(TypeError):
+        slp_precode(chan, s, 0.0861, sigma)
+
+
+def test_slp_evaluates_no_point_twice(monkeypatch):
+    # every objective evaluation of one solve is at a new point: the line
+    # search's accepted value is reused wherever the inner loop restarts
+    # from that point
+    seen = []
+    kernel = precoding.dp_components
+
+    def spy(s_axis, v_axis, beta, *args, **kwargs):
+        seen.append((np.asarray(v_axis).tobytes(), np.asarray(beta).tobytes()))
+        return kernel(s_axis, v_axis, beta, *args, **kwargs)
+
+    monkeypatch.setattr(precoding, "dp_components", spy)
+    _, chan, s, sigma = _slp_setup(21, n=16, k=4, m=64, m_s=40)
+    res = slp_precode(chan, s, 0.0861, sigma, d=2)
+    assert res.diagnostics["apg_iterations"] > res.diagnostics["admm_iterations"] > 1
+    assert len(set(seen)) == len(seen)
 
 
 def test_slp_improves_on_zf_and_is_feasible():
