@@ -73,8 +73,7 @@ def idft_modulate(params: OfdmParams, z) -> TimeGrid:
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[1] != params.m_s:
         raise ShapeMismatch(f"expected (N, {params.m_s}) symbol grid, got {z.shape}")
-    x = params.m * np.fft.ifft(z, n=params.m, axis=1)
-    return TimeGrid(x=x, m_cp=params.m_cp)
+    return TimeGrid(x=np.fft.ifft(z, n=params.m, axis=1, norm="forward"), m_cp=params.m_cp)
 
 
 def sample_hold(params: OfdmParams, x_cp) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -168,6 +169,7 @@ def _distortion_amp(model: PaModel, r):
     return np.abs(r * (gain / model.gain) * np.exp(1j * phase) - r)
 
 
+@lru_cache(maxsize=64)
 def compute_psi(model: PaModel, chi: float) -> float:
     """Worst-case relative PA distortion over the input disk of radius `chi`.
 
@@ -175,7 +177,8 @@ def compute_psi(model: PaModel, chi: float) -> float:
     only on ``|z|``, so the search runs over amplitudes: a coarse grid of
     4096 points on [0, chi] followed by a golden-section refinement
     around the best coarse point.  Absolute accuracy is better than 1e-6
-    for the smooth models used here.
+    for the smooth models used here.  Computed once per (model, chi) and
+    shared, since every experiment run asks for it again.
     """
     if chi <= 0:
         raise ValueError("chi must be positive")
@@ -203,13 +206,15 @@ def compute_psi(model: PaModel, chi: float) -> float:
     return best
 
 
+@lru_cache(maxsize=64)
 def compute_r1db(model: PaModel) -> float:
     """Input amplitude at which the output falls 1 dB below linear gain.
 
     Solves ``20*log10(A*r / g_a(r)) = 1`` by bisection on
     ``(0, 10*r_max]`` to relative tolerance 1e-9.  Raises
     :class:`NoCompressionPoint` for the ideal model (linear up to
-    ``r_max``) or when no root exists in the search interval.
+    ``r_max``) or when no root exists in the search interval.  Computed
+    once per model and shared, like :func:`compute_psi`.
     """
     if model.kind == "ideal":
         raise NoCompressionPoint("ideal PA is linear up to r_max")

@@ -15,10 +15,14 @@ detection probabilities, equivalently minimizes
 subject to X = Z F_s^T, max-amplitude feasibility of X, and beta >= 0.
 The splitting alternates a closed-form projection in X, an APG solve in
 (beta, Z), and a dual ascent step.  Each solve lays the problem's
-constants out once (a private objective object) and evaluates F at each
-point once: the value comes with the point evaluated, the Gaussian
-densities and the gradient only where the inner loop asks for them, and
-a round starts from the evaluation its predecessor ended on.
+constants out once, user-major (a private objective object), and
+evaluates F at each point once: the value comes with the point's
+decision margins, from which the Gaussian densities and the gradient
+are formed only where the inner loop asks for them, and a round starts
+from the evaluation its predecessor ended on.  The rounds and the line
+search update their arrays in place; every value they compute is the
+one the plain expressions give, so the layout and the in-place updates
+change no decision of the solver.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from .channel import ChannelRealization
 from .errors import ShapeMismatch
 from .ofdm import TimeGrid, idft_modulate
-from .qam import _margins, _phi_pdf, dp_components
+from .qam import _level_offsets, _margins, _phi_pdf, dp_components
 
 __all__ = [
     "PrecodeResult",
@@ -140,35 +144,47 @@ def zf_precode(
     return PrecodeResult(z=z, x=x, beta=beta, gamma=gamma)
 
 
+def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
+    """:func:`project_amplitude` of the complex array `x`, written into `x`."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    mag = np.abs(x)
+    over = mag > bound
+    if np.any(over):
+        x[over] *= bound / mag[over]
+    return x
+
+
 def project_amplitude(x: np.ndarray, bound: float) -> np.ndarray:
     """Entrywise projection onto the max-amplitude ball: clip magnitudes,
     keep phases.  Idempotent; the Euclidean projection onto the feasible
     set since the constraint is separable per entry."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    x = np.asarray(x, dtype=complex)
-    mag = np.abs(x)
-    over = mag > bound
-    out = x.copy()
-    if np.any(over):
-        out[over] = x[over] * (bound / mag[over])
-    return out
+    return _project_in_place(np.array(x, dtype=complex), bound)
 
 
 class _SlpObjective:
     """F(beta, Z) of one symbol-level problem, with what depends only on the
     problem (channel, symbols, noise levels, d) laid out once per solve.
 
-    The received values ``h_{i,p}^T z_p`` are formed per subcarrier as one
-    batched product, shape (m_s, K) complex, and read as their (m_s, K, 2)
-    real view: I and Q of one entry side by side.  The symbol levels are
-    kept in the same layout, so one `dp_components` call covers both
-    components with no stacking.
+    The layout is user-major, ``(K, 2 m_s)``: row i holds user i's I and Q
+    components side by side, subcarrier after subcarrier (the real view of
+    a ``(K, m_s)`` complex array), so every per-user beta or sigma column
+    ``(K, 1)`` broadcasts along a contiguous row.  The threshold offsets
+    ``1 +- s`` and the bounds that put the edge levels' missing thresholds
+    at infinity are stacked on a leading axis of two, ``(2, K, 2 m_s)``, so
+    the two margins of an entry are formed together and one
+    `dp_components` call covers one point.  The received values
+    ``h_{i,p}^T z_p`` are formed per subcarrier as one batched product and
+    copied into the user-major work array.
 
     :meth:`value` evaluates no Gaussian density; it returns F together with
-    the evaluated point, from which :meth:`grad` forms the gradients.  A
-    caller that needs F at many points and gradients at few pays for the
-    densities only where it asks for them.
+    the evaluated point, which keeps the margins, so :meth:`grad` forms
+    the densities and the gradients without forming them again.  A caller
+    that needs F at many points and gradients at few pays for the
+    densities only where it asks for them.  The sums of F and of the beta
+    gradient, and the adjoint product, run over copies in the subcarrier-
+    major ``(m_s, K, 2)`` order, which fixes how they round: the same
+    values as an interleaved ``(m_s, K, 2)`` layout throughout gives.
     """
 
     def __init__(self, chan: ChannelRealization, symbols, sigma_eta, d: int):
@@ -177,32 +193,48 @@ class _SlpObjective:
         k_users, m_s = symbols.shape
         self.freq = chan.freq                                                  # (m_s, K, N)
         self.freq_h = np.ascontiguousarray(chan.freq.conj().transpose(0, 2, 1))  # (m_s, N, K)
-        self.levels = np.ascontiguousarray(symbols.T).reshape(m_s, k_users, 1).view(float)
-        self.sigma = sigma_eta.reshape(1, -1, 1)
-        self.d = d
+        self.offsets, self.bounds = _level_offsets(np.ascontiguousarray(symbols).view(float), d)
+        self.sigma = sigma_eta.reshape(-1, 1)
+        # work arrays, overwritten by every call: the received values in the
+        # user-major layout, and the (m_s, K, 2) copies that are summed or
+        # go into the adjoint product
+        self._v = np.empty((k_users, m_s), dtype=complex)
+        self._log_dp = np.empty((m_s, k_users, 2))
+        self._g_v = np.empty((m_s, k_users, 2))
+        self._g_beta = np.empty((m_s, k_users, 2))
+
+    def _subcarrier_major(self, a, out):
+        """Copy a user-major ``(K, 2 m_s)`` array into `out`, ``(m_s, K, 2)``
+        (as I/Q pairs, which moves the same bytes several times faster)."""
+        np.copyto(out.view(complex)[:, :, 0], a.view(complex).T)
+        return out
 
     def value(self, beta, z):
         """``(F, point)``: the objective, capped at a large finite value when
         any DP underflows so that line searches stay finite, and the point
-        in the form :meth:`grad` takes."""
-        v = np.matmul(self.freq, z.T[:, :, None]).view(float)    # (m_s, K, 2)
-        beta_col = beta.reshape(1, -1, 1)
-        dp, _, _ = dp_components(self.levels, v, beta_col, self.sigma, self.d, need_grad=False)
-        dp_safe = np.maximum(dp, _DP_FLOOR)
-        f = min(0.0 - float(np.log(dp_safe).sum()), _OBJECTIVE_CAP)
-        return f, (beta_col, v, dp_safe)
+        in the form :meth:`grad` takes (its margins and floored DPs)."""
+        v = np.matmul(self.freq, z.T[:, :, None])                # (m_s, K, 1)
+        np.copyto(self._v, v[:, :, 0].T)
+        t = _margins(self.offsets, self.bounds, self._v.view(float), beta.reshape(-1, 1),
+                     self.sigma)
+        dp, _, _ = dp_components(t, need_grad=False)
+        dp_safe = np.maximum(dp, _DP_FLOOR, out=dp)
+        log_dp = self._subcarrier_major(dp_safe, self._log_dp)
+        np.log(log_dp, out=log_dp)
+        f = min(0.0 - float(log_dp.sum()), _OBJECTIVE_CAP)
+        return f, (t, dp_safe)
 
     def grad(self, point):
         """``(grad_beta, grad_Z)`` at a point returned by :meth:`value`."""
-        beta_col, v, dp_safe = point
-        s = self.levels
-        ta, tc = _margins(s, v, beta_col, self.sigma, self.d)
-        phi_hi, phi_lo = _phi_pdf(ta), _phi_pdf(tc)
+        t, dp_safe = point
+        phi = _phi_pdf(t)                                        # (phi_hi, phi_lo)
         scale = math.sqrt(2.0) / (self.sigma * dp_safe)
-        g_v = scale * (phi_hi - phi_lo)                          # (m_s, K, 2): d F / d v
-        grad_beta = -(scale * (phi_hi * (1.0 + s) - phi_lo * (s - 1.0))).sum(axis=(0, 2))
+        g_v = scale * (phi[0] - phi[1])                          # d F / d v
+        g_beta = scale * (phi[0] * self.offsets[0] - phi[1] * self.offsets[1])
+        grad_beta = -self._subcarrier_major(g_beta, self._g_beta).sum(axis=(0, 2))
         # the real view read back as complex is g_R + j g_I, (m_s, K, 1)
-        grad_z = np.matmul(self.freq_h, g_v.view(complex))[:, :, 0].T
+        g_v = self._subcarrier_major(g_v, self._g_v).view(complex)
+        grad_z = np.ascontiguousarray(np.matmul(self.freq_h, g_v)[:, :, 0].T)
         return grad_beta, grad_z
 
 
@@ -263,18 +295,32 @@ def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0
     the iterate, the last accepted step, the iteration count, and
     ``obj.value`` at the returned iterate, which is the last accepted
     line-search evaluation.
+
+    The proximal step and the extrapolation are written in place into new
+    arrays (C-ordered, as the plain expressions give them), and the step
+    an iteration takes serves both its stopping test and the next
+    extrapolation.  Each value is the one the plain expression gives, so
+    no decision depends on how it is formed.
     """
     m, m_s = ofdm.m, ofdm.m_s
     w_spec = rho * _time_to_subcarriers(w_target, m_s)   # rho * W conj(F_s)
+    w_step = np.empty_like(w_spec)
 
-    def prox(beta_v, z_v, step):
-        beta_new = np.maximum(0.0, beta_v)
-        z_new = (z_v + step * w_spec) / (1.0 + step * rho * m)
+    def prox_step(beta_ex, z_ex, g_beta, g_z, step):
+        # prox of the gradient step, (max(0, b - step g_b), (z - step g_z +
+        # step w_spec) / (1 + step rho M)), formed in place in a new pair of
+        # arrays.  numpy divides a complex array by a real value as the
+        # multiplication by its reciprocal written here, which gives the
+        # same values without a complex division per entry
+        beta_new = np.maximum(0.0, beta_ex - step * g_beta)
+        z_new = step * g_z
+        np.subtract(z_ex, z_new, out=z_new)
+        z_new += np.multiply(w_spec, step, out=w_step)
+        z_new *= 1.0 / (1.0 + step * rho * m)
         return beta_new, z_new
 
     beta, z = beta0, z0
     f_cur, point_cur = eval0
-    beta_prev, z_prev = beta, z
     mu_prev = 0.0
     gamma = gamma0
     iters = 0
@@ -286,15 +332,17 @@ def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0
             # weight is zero: the extrapolation point is the iterate itself
             beta_ex, z_ex, f_ex, point_ex = beta, z, f_cur, point_cur
         else:
+            # beta + wgt (beta - beta_prev), and the same for Z, on the steps
+            # the previous iteration took
             wgt = (mu_prev - 1.0) / mu
-            beta_ex = beta + wgt * (beta - beta_prev)
-            z_ex = z + wgt * (z - z_prev)
+            beta_ex = np.add(np.multiply(d_beta, wgt, out=d_beta), beta, out=d_beta)
+            z_ex = np.add(np.multiply(d_z, wgt, out=d_z), z, out=d_z)
             f_ex, point_ex = obj.value(beta_ex, z_ex)
         g_beta, g_z = obj.grad(point_ex)
         gamma = min(2.0 * gamma, 1.0)
 
         while True:
-            beta_new, z_new = prox(beta_ex - gamma * g_beta, z_ex - gamma * g_z, gamma)
+            beta_new, z_new = prox_step(beta_ex, z_ex, g_beta, g_z, gamma)
             f_new, point_new = obj.value(beta_new, z_new)
             d_beta = beta_new - beta_ex
             d_z = z_new - z_ex
@@ -304,12 +352,11 @@ def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0
                 break
             gamma *= 0.5
 
-        beta_prev, z_prev = beta, z
+        d_beta = beta_new - beta
+        d_z = z_new - z
         beta, z, f_cur, point_cur = beta_new, z_new, f_new, point_new
         mu_prev = mu
-        step2 = float(np.sum((beta - beta_prev) ** 2)) + float(
-            np.linalg.norm(z - z_prev) ** 2
-        )
+        step2 = float(np.sum(d_beta ** 2)) + float(np.linalg.norm(d_z) ** 2)
         if step2 <= tol:
             break
     return beta, z, gamma, iters, (f_cur, point_cur)
@@ -385,8 +432,9 @@ def slp_precode(
 
     for _ in range(admm_max_iter):
         rounds += 1
-        x_block = project_amplitude(z_time - lam / rho, budget)
-        w_target = x_block + lam / rho
+        lam_rho = lam * (1.0 / rho)     # lam / rho, as numpy's complex division forms it
+        x_block = _project_in_place(z_time - lam_rho, budget)
+        w_target = np.add(x_block, lam_rho, out=lam_rho)
         beta, z, gamma, n_apg, evaluation = _apg_solve(
             obj, chan.ofdm, beta, z, evaluation, w_target, rho,
             apg_max_iter, apg_tol, gamma,
@@ -394,15 +442,16 @@ def slp_precode(
         f_cur = evaluation[0]
         apg_total += n_apg
         z_time = idft_modulate(chan.ofdm, z).x
-        lam = lam + rho * (x_block - z_time)
-        resid2 = float(np.linalg.norm(x_block - z_time) ** 2)
+        resid = np.subtract(x_block, z_time, out=x_block)
+        resid2 = float(np.linalg.norm(resid) ** 2)
+        lam += np.multiply(resid, rho, out=resid)
         f_best = min(f_best, f_cur)
         if abs(f_cur - f_prev) <= ftol * abs(f_prev) and resid2 <= xtol:
             converged = True
             break
         f_prev = f_cur
 
-    x_final = project_amplitude(z_time, budget)
+    x_final = _project_in_place(z_time, budget)
     diag = {
         "admm_iterations": float(rounds),
         "apg_iterations": float(apg_total),

@@ -7,6 +7,13 @@ The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 integer with clipping; exact mid-ties round toward zero, and a component
 of exactly zero (a tie between -1 and +1) decides -1.
 
+The probability is computed in two steps: :func:`margins` forms the
+margin-normalized offsets of a level's upper and lower decision
+thresholds, stacked on a leading axis of two, and :func:`dp_components`
+turns the stack into probabilities (and densities for gradients).  The
+symbol-level objective forms the margins from constants it lays out
+once per solve and keeps them for its gradient.
+
 Only the symbol-level precoder evaluates the Gaussian CDF, so
 ``scipy.special.ndtr`` is imported inside the two functions that call
 it: ``import sdmimo`` then loads numpy and the standard library only,
@@ -26,6 +33,7 @@ __all__ = [
     "detect",
     "dp_real_component",
     "dp_components",
+    "margins",
     "symbols_to_bits_errors",
 ]
 
@@ -122,50 +130,89 @@ def dp_real_component(
     raise ValueError(f"{s} is not an admissible level for d={d}")
 
 
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
 def _phi_pdf(t: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
+    """Standard normal density, ``exp(-0.5 t t) / sqrt(2 pi)``, zero at +-inf."""
+    p = -0.5 * t
+    p *= t
+    np.exp(p, out=p)
+    p /= _SQRT_2PI
+    return p
 
 
-def _margins(s, v, beta, sigma_eta, d):
-    """Margin-normalized offsets ``(ta, tc)`` of the upper and lower decision
-    thresholds of levels `s` from received components `v`:
-    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, with +inf above the top
-    level and -inf below the bottom one."""
-    rt2 = np.sqrt(2.0)
-    ta = np.where(s >= 2 * d - 1, np.inf, rt2 * (beta * (1.0 + s) - v) / sigma_eta)
-    tc = np.where(s <= -(2 * d - 1), -np.inf, rt2 * (beta * (s - 1.0) - v) / sigma_eta)
-    return ta, tc
+def _level_offsets(s, d):
+    """What the margins take from the levels `s` alone, each stacked on a
+    new leading axis of two: the offsets ``(1 + s, s - 1)`` of the upper
+    and lower decision thresholds, and the bounds that put the thresholds
+    that do not exist at infinity (+inf as the lower bound of the upper
+    margin above the top level, -inf as the upper bound of the lower
+    margin below the bottom one, and no bound elsewhere)."""
+    s = np.asarray(s, dtype=float)
+    bounds = np.stack((np.where(s >= 2 * d - 1, np.inf, -np.inf),
+                       np.where(s <= -(2 * d - 1), -np.inf, np.inf)))
+    return np.stack((1.0 + s, s - 1.0)), bounds
 
 
-def dp_components(s_axis, v_axis, beta, sigma_eta, d, need_grad=True):
+def _margins(offsets, bounds, v, beta, sigma_eta):
+    """Stacked margins from :func:`_level_offsets`' output: a new array
+    shaped like `offsets`, formed in place in the order
+    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, with the missing
+    thresholds at +-inf."""
+    t = offsets * beta
+    t -= v
+    t *= np.sqrt(2.0)
+    t /= sigma_eta
+    np.maximum(t[0], bounds[0], out=t[0])
+    np.minimum(t[1], bounds[1], out=t[1])
+    return t
+
+
+def margins(s_axis, v_axis, beta, sigma_eta, d):
+    """Margin-normalized offsets of the upper and lower decision thresholds
+    of levels `s_axis` from received components `v_axis`, stacked on a new
+    leading axis: ``t[0] = ta``, ``t[1] = tc`` with
+    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, and +inf above the top
+    level and -inf below the bottom one.  The arguments broadcast
+    against each other (`beta` and `sigma_eta` are typically per-user
+    columns).  :func:`dp_components` takes the result."""
+    v = np.asarray(v_axis, dtype=float)
+    s = np.broadcast_to(np.asarray(s_axis, dtype=float),
+                        np.broadcast_shapes(np.shape(s_axis), v.shape, np.shape(beta),
+                                            np.shape(sigma_eta)))
+    return _margins(*_level_offsets(s, d), v, beta, sigma_eta)
+
+
+def dp_components(t, need_grad=True):
     """Vectorized per-component DP with the pieces needed for gradients.
 
-    Parameters are broadcastable arrays: `s_axis` the true levels (odd
-    ints), `v_axis` the noise-free received components, `beta` and
-    `sigma_eta` per-user columns.  Returns ``(dp, phi_hi, phi_lo)`` where
-    `phi_hi`/`phi_lo` are the Gaussian densities at the upper/lower
-    margin-normalized offsets (zero where the corresponding branch has
-    no finite threshold); both are None when `need_grad` is false.
+    `t` holds the stacked margins of :func:`margins`, ``t[0] = ta`` and
+    ``t[1] = tc``.  Returns ``(dp, phi_hi, phi_lo)``, each shaped like
+    ``t[0]``, where `phi_hi`/`phi_lo` are the Gaussian densities at the
+    upper/lower margins (zero where the corresponding branch has no
+    finite threshold); both are None when `need_grad` is false.
 
-    The edge levels get an infinite threshold (+inf above the top level,
-    -inf below the bottom one), so every entry is the interval
-    probability ``Phi(ta) - Phi(tc)``.  It is taken in the survival form
-    ``Phi(-tc) - Phi(-ta)`` when ``ta + tc > 0``, where both arguments are
-    high and the direct difference would cancel.  This costs two `ndtr`
-    calls per entry and gives the same values as evaluating each level's
-    branch on its own (a zero DP may come out as -0.0): negation is
-    exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x`` in IEEE
-    arithmetic.
+    The edge levels carry an infinite threshold, so every entry is the
+    interval probability ``Phi(ta) - Phi(tc)``.  It is taken in the
+    survival form ``Phi(-tc) - Phi(-ta)`` when ``ta + tc > 0``, where both
+    arguments are high and the direct difference would cancel.  Both
+    margins go through one `ndtr` call and give the same values as
+    evaluating each level's branch on its own (a zero DP may come out as
+    -0.0): negation is exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x``
+    in IEEE arithmetic.
     """
     from scipy.special import ndtr
 
-    ta, tc = _margins(np.asarray(s_axis, dtype=float), np.asarray(v_axis, dtype=float),
-                      beta, sigma_eta, d)
-    sgn = np.where(ta + tc > 0, -1.0, 1.0)
-    dp = sgn * (ndtr(sgn * ta) - ndtr(sgn * tc))
+    sgn = np.where(t[0] + t[1] > 0, -1.0, 1.0)
+    u = sgn * t
+    ndtr(u, out=u)
+    dp = np.subtract(u[0], u[1], out=u[0])
+    dp *= sgn
     if not need_grad:
         return dp, None, None
-    return dp, _phi_pdf(ta), _phi_pdf(tc)
+    phi = _phi_pdf(t)
+    return dp, phi[0], phi[1]
 
 
 # bit counts for one byte, used to tally Gray-coded bit errors

@@ -4,17 +4,18 @@
 Forms the received values with one `einsum` over the channel, stacks the
 I and Q components into ``(2, K, m_s)`` arrays for one `dp_components`
 call with densities, and sums each component on its own.  The package
-keeps the constants of one problem in an interleaved ``(m_s, K, 2)``
-layout, evaluates the densities only where a gradient is asked for, and
-forms the adjoint product as a batched `matmul`; comparing the two checks
-that layout and that split to within rounding.
+keeps the constants of one problem in a user-major ``(K, 2 m_s)`` layout
+with the two margins stacked, keeps each point's margins for its
+gradient, evaluates the densities only where a gradient is asked for,
+and forms the adjoint product as a batched `matmul`; comparing the two
+checks that layout and that split to within rounding.
 """
 
 import math
 
 import numpy as np
 
-from sdmimo.qam import dp_components
+from sdmimo.qam import dp_components, margins
 
 _OBJECTIVE_CAP = 1e12
 _DP_FLOOR = 1e-300
@@ -30,7 +31,7 @@ def slp_objective_and_grad_oracle(beta, z, chan, symbols, sigma_eta, d):
     sig_col = sigma_eta[:, None]
 
     dp, phi_hi, phi_lo = dp_components(
-        s_iq, np.stack((v.real, v.imag)), beta[:, None], sig_col, d)
+        margins(s_iq, np.stack((v.real, v.imag)), beta[:, None], sig_col, d))
     dp_safe = np.maximum(dp, _DP_FLOOR)
     logdp = np.log(dp_safe)
     f_total = min(0.0 - float(logdp[0].sum()) - float(logdp[1].sum()), _OBJECTIVE_CAP)

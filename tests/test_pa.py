@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,21 @@ def test_psi_nondecreasing_in_chi(rapp_pa):
     chis = np.linspace(0.02, 3 * rapp_pa.r_max, 12)
     psis = [compute_psi(rapp_pa, c) for c in chis]
     assert np.all(np.diff(psis) >= -1e-9)
+
+
+def test_pa_characteristics_are_computed_once_per_model(rapp_pa):
+    # psi and r1db are memoized per model (and chi): a repeated call returns
+    # the identical float from the cache, and a model that differs in one
+    # field is a different key with a different value
+    compute_psi.cache_clear()
+    compute_r1db.cache_clear()
+    psi = compute_psi(rapp_pa, rapp_pa.r_max)
+    r1db = compute_r1db(rapp_pa)
+    assert compute_psi(rapp_pa, rapp_pa.r_max) is psi
+    assert compute_r1db(rapp_pa) is r1db
+    assert compute_psi.cache_info().hits == 1 and compute_r1db.cache_info().hits == 1
+    assert compute_psi(dataclasses.replace(rapp_pa, phi=2.0), rapp_pa.r_max) != psi
+    assert compute_psi.cache_info().misses == 2
 
 
 def test_r1db_rapp(rapp_pa):

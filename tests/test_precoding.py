@@ -1,3 +1,5 @@
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,8 +24,9 @@ from sdmimo.precoding import (
     slp_precode,
     zf_precode,
 )
-from sdmimo import precoding
-from sdmimo.qam import QamConstellation
+from sdmimo import harness, precoding
+from sdmimo.config import config_from_dict
+from sdmimo.qam import QamConstellation, margins
 from slp_oracle import slp_objective_and_grad_oracle
 from zf_oracle import svd_min_norm_solve, svd_rank_deficient
 
@@ -358,19 +361,24 @@ def test_slp_objective_requires_d():
 def test_slp_evaluates_no_point_twice(monkeypatch):
     # every objective evaluation of one solve is at a new point: the line
     # search's accepted value is reused wherever the inner loop restarts
-    # from that point
+    # from that point.  Every evaluation goes through the kernel by the
+    # name precoding.dp_components, one point per call
     seen = []
     kernel = precoding.dp_components
 
-    def spy(s_axis, v_axis, beta, *args, **kwargs):
-        seen.append((np.asarray(v_axis).tobytes(), np.asarray(beta).tobytes()))
-        return kernel(s_axis, v_axis, beta, *args, **kwargs)
+    def spy(t, *args, **kwargs):
+        out = kernel(t, *args, **kwargs)
+        seen.append((np.asarray(t).tobytes(), np.size(out[0])))
+        return out
 
     monkeypatch.setattr(precoding, "dp_components", spy)
     _, chan, s, sigma = _slp_setup(21, n=16, k=4, m=64, m_s=40)
     res = slp_precode(chan, s, 0.0861, sigma, d=2)
     assert res.diagnostics["apg_iterations"] > res.diagnostics["admm_iterations"] > 1
+    # the start point plus at least one line-search point per APG step
+    assert len(seen) >= res.diagnostics["apg_iterations"] + 1
     assert len(set(seen)) == len(seen)
+    assert {size for _, size in seen} == {2 * s.size}
 
 
 def test_slp_improves_on_zf_and_is_feasible():
@@ -396,8 +404,8 @@ def test_slp_huge_budget_drives_dp_to_one():
     def min_dp(beta, z, chan, s, sigma):
         v = np.einsum("pkn,np->kp", chan.freq, z)
         b, sg = beta[:, None], sigma[:, None]
-        dp_r, _, _ = dp_components(s.real, v.real, b, sg, 2)
-        dp_i, _, _ = dp_components(s.imag, v.imag, b, sg, 2)
+        dp_r, _, _ = dp_components(margins(s.real, v.real, b, sg, 2))
+        dp_i, _, _ = dp_components(margins(s.imag, v.imag, b, sg, 2))
         return min(dp_r.min(), dp_i.min())
 
     _, chan, s, sigma = _slp_setup(12)
@@ -447,3 +455,52 @@ def test_slp_rejects_empty_inner_loop():
     _, chan, s, sigma = _slp_setup(26)
     with pytest.raises(ValueError, match="apg_max_iter"):
         slp_precode(chan, s, 0.0861, sigma, d=2, apg_max_iter=0)
+
+
+_DECISIONS = json.loads((Path(__file__).resolve().parent / "slp_decisions.json").read_text())
+
+
+@pytest.mark.parametrize("want", _DECISIONS["solves"],
+                         ids=lambda w: f"seed{w['seed']}-{w['inv_sigma_v2_db']:g}dB")
+def test_slp_decisions_match_recorded_solves(monkeypatch, want):
+    # desk-size solves replayed against diagnostics recorded with an earlier
+    # version: the iteration counts and the stopping outcome must agree
+    # exactly, so any changed line-search or stopping decision fails here,
+    # and the objective and the residual to within last-digit rounding
+    solves = []
+
+    def recorded(*args, **kwargs):
+        res = slp_precode(*args, **kwargs)
+        solves.append(res.diagnostics)
+        return res
+
+    monkeypatch.setattr(harness, "slp_precode", recorded)
+    doc = {"system": _DECISIONS["system"], "pa": _DECISIONS["pa"], "scheme": "auto",
+           "precoder": {"name": "slp-tsd"},
+           "noise": {"inv_sigma_v2_db": [want["inv_sigma_v2_db"]]},
+           "run": {"trials": 1, "blocks_per_trial": 1, "seed": want["seed"],
+                   "self_check": False}}
+    harness.run_ber(config_from_dict(doc))
+    (got,) = solves
+    for key in ("apg_iterations", "admm_iterations", "converged"):
+        assert got[key] == want[key], key
+    for key in ("objective", "best_objective", "residual_sq"):
+        assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+
+def test_slp_objective_point_holds_the_margins_of_its_levels():
+    # the objective forms one point's stacked margins in its user-major
+    # layout from constants laid out once per solve; they are the margins
+    # qam.margins forms from the levels and received values directly
+    _, chan, s, sigma = _slp_setup(27, n=16, k=4, m=64, m_s=40)
+    zf = zf_precode(chan, s, 0.0861)
+    obj = precoding._SlpObjective(chan, s, sigma, 2)
+    _, (t, _) = obj.value(zf.beta, zf.z)
+    v = np.einsum("pkn,np->kp", chan.freq, zf.z)
+    v_rows = np.matmul(chan.freq, zf.z.T[:, :, None])[:, :, 0].T    # the objective's product
+    assert np.allclose(v_rows, v, rtol=1e-12, atol=0)
+    want = margins(np.ascontiguousarray(s).view(float),
+                   np.ascontiguousarray(v_rows).view(float),
+                   zf.beta[:, None], sigma[:, None], 2)
+    assert t.shape == (2, 4, 2 * 40)
+    assert np.array_equal(t, want)

@@ -12,6 +12,7 @@ from sdmimo.qam import (
     QamConstellation,
     detect,
     dp_components,
+    margins,
     dp_real_component,
     symbols_to_bits_errors,
 )
@@ -203,7 +204,7 @@ def test_dp_components_vectorized_consistency():
     v = s.real * 0.9 + rng.standard_normal((3, 8)) * 0.1
     beta = np.array([0.8, 1.0, 1.2])[:, None]
     sigma = np.array([0.3, 0.5, 0.7])[:, None]
-    dp, phi_hi, phi_lo = dp_components(s.real, v, beta, sigma, 2)
+    dp, phi_hi, phi_lo = dp_components(margins(s.real, v, beta, sigma, 2))
     for i in range(3):
         for p in range(8):
             ref = dp_real_component(int(s.real[i, p]), v[i, p],
@@ -213,12 +214,12 @@ def test_dp_components_vectorized_consistency():
 
 def test_dp_components_stable_for_large_margins():
     # on-target interior symbol with huge scaling: DP -> 1 without overflow
-    dp, _, _ = dp_components(np.array([1.0]), np.array([50.0]),
-                             np.array([50.0]), np.array([1.0]), 2)
+    dp, _, _ = dp_components(margins(np.array([1.0]), np.array([50.0]),
+                                     np.array([50.0]), np.array([1.0]), 2))
     assert dp[0] == pytest.approx(1.0, abs=1e-15)
     # catastrophically off-target: DP underflows to a nonnegative value
-    dp, _, _ = dp_components(np.array([1.0]), np.array([200.0]),
-                             np.array([1.0]), np.array([1.0]), 2)
+    dp, _, _ = dp_components(margins(np.array([1.0]), np.array([200.0]),
+                                     np.array([1.0]), np.array([1.0]), 2))
     assert 0.0 <= dp[0] < 1e-300
 
 
@@ -250,10 +251,10 @@ def test_dp_components_matches_per_branch_oracle(d, entries):
     off = np.concatenate([np.full(lv.size, off[0]), off])
     v = beta * s + off * sigma
     want = dp_components_oracle(s, v, beta, sigma, d)
-    got = dp_components(s, v, beta, sigma, d)
+    got = dp_components(margins(s, v, beta, sigma, d))
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
-    dp_only, phi_hi, phi_lo = dp_components(s, v, beta, sigma, d, need_grad=False)
+    dp_only, phi_hi, phi_lo = dp_components(margins(s, v, beta, sigma, d), need_grad=False)
     assert np.array_equal(dp_only, want[0])
     assert phi_hi is None and phi_lo is None
 
