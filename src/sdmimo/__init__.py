@@ -5,23 +5,19 @@ Monte Carlo experiment harness."""
 
 from .channel import (
     ChannelRealization,
-    DiracFilter,
     RrcFilter,
     UlaGeometry,
     channel_from_paths,
     distortion_noise_power,
     draw_channel,
-    load_channel,
     propagate,
-    psi_hat_bound,
     psi_hat_calibrated,
-    save_channel,
     steering_vector,
 )
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NoCompressionPoint, RankDeficient, ShapeMismatch
 from .harness import run_ber, run_scatter, run_shaping_spectrum
-from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft, sample_hold
+from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
 from .pa import PaModel, ShapingBudget, apply_pa, compute_psi, compute_r1db
 from .precoding import (
     PrecodeResult,
@@ -30,7 +26,7 @@ from .precoding import (
     slp_precode,
     zf_precode,
 )
-from .qam import QamConstellation, detect, dp_real_component
+from .qam import QamConstellation, detect
 from .sigma_delta import ModulatorConfig, modulate, shaped_distortion_power
 
 __version__ = "0.1.0"

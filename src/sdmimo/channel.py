@@ -41,11 +41,9 @@ read-only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
@@ -57,7 +55,6 @@ from .sigma_delta import shaped_power
 __all__ = [
     "UlaGeometry",
     "RrcFilter",
-    "DiracFilter",
     "ChannelRealization",
     "GramFactor",
     "steering_vector",
@@ -67,12 +64,8 @@ __all__ = [
     "draw_channel",
     "propagate",
     "add_noise",
-    "receive_filter_abs_integral",
-    "psi_hat_bound",
     "hold_rx_power_factor",
     "psi_hat_calibrated",
-    "save_channel",
-    "load_channel",
     "distortion_noise_power",
 ]
 
@@ -147,25 +140,17 @@ class RrcFilter:
         return rrc_impulse((k + 0.5) / osf, self.rolloff), half - 1
 
 
-@dataclass(frozen=True)
-class DiracFilter:
-    """Identity receive filter (discrete delta), handy for chain tests."""
-
-    span: float = 0.0
-
-    def sample(self, osf: int) -> Tuple[np.ndarray, int]:
-        return np.array([float(osf)]), 0   # weight 1/dt so conv * dt == identity
-
-
 @lru_cache(maxsize=16)
 def pulse_filter_taps(rx_filter, osf: int) -> Tuple[np.ndarray, int]:
     """Rectangular transmit pulse convolved with the receive filter.
 
-    Returns the quadrature-grid array of ``(Pi (*) Omega)(c/osf)`` and
-    the index of lag c = 0.  The rectangular pulse is sampled
-    left-closed on [0, 1), matching the zero-order-hold transmit pulse.
-    The result is computed once per (filter, osf) and shared, so the
-    array is read-only.
+    `rx_filter` is any hashable object whose ``sample(osf)`` returns the
+    filter's quadrature-grid samples and the index of lag zero, as
+    :meth:`RrcFilter.sample` does.  Returns the quadrature-grid array of
+    ``(Pi (*) Omega)(c/osf)`` and the index of lag c = 0.  The
+    rectangular pulse is sampled left-closed on [0, 1), matching the
+    zero-order-hold transmit pulse.  The result is computed once per
+    (filter, osf) and shared, so the array is read-only.
     """
     omega, center = rx_filter.sample(osf)
     po = np.convolve(np.ones(osf), omega) / osf
@@ -292,10 +277,6 @@ class ChannelRealization:
     @property
     def n_users(self) -> int:
         return self.alpha.shape[0]
-
-    @property
-    def n_taps(self) -> int:
-        return self.taps.shape[1]
 
     @cached_property
     def gram(self) -> GramFactor:
@@ -435,17 +416,6 @@ def add_noise(y: np.ndarray, sigma_v2: float,
     return y + noise * math.sqrt(sigma_v2 / 2.0)
 
 
-def receive_filter_abs_integral(rx_filter, osf: int) -> float:
-    """Quadrature of the receive filter's absolute integral."""
-    omega, _ = rx_filter.sample(osf)
-    return float(np.sum(np.abs(omega)) / osf)
-
-
-def psi_hat_bound(pa_gain: float, psi: float, rx_filter, osf: int) -> float:
-    """Receive-side distortion amplitude bound, A * psi * integral |Omega|."""
-    return pa_gain * psi * receive_filter_abs_integral(rx_filter, osf)
-
-
 def hold_rx_power_factor(rx_filter, osf: int) -> float:
     """Power gain of transmit-hold plus receive filtering on sample-white
     signals: the quadrature of ``integral (Pi (*) Omega)^2``.
@@ -472,42 +442,6 @@ def psi_hat_calibrated(pa_gain: float, q_second_moment: float, rx_filter,
         raise ValueError("second moment must be nonnegative")
     factor = hold_rx_power_factor(rx_filter, osf)
     return pa_gain * math.sqrt(3.0 * q_second_moment * factor)
-
-
-def save_channel(path, chan: ChannelRealization) -> None:
-    """Dump a realization's defining parameters as JSON.
-
-    Only the path parameters and build settings are stored; the taps and
-    frequency channels are rebuilt on load, which reproduces them
-    bit-for-bit since the construction is deterministic."""
-    doc = {
-        "n": chan.geom.n,
-        "d_over_lambda": chan.geom.d_over_lambda,
-        "ofdm": {"m": chan.ofdm.m, "m_s": chan.ofdm.m_s,
-                 "m_cp": chan.ofdm.m_cp, "osf": chan.ofdm.osf},
-        "rrc_rolloff": chan.rx_filter.rolloff,
-        "rrc_span": chan.rx_filter.span,
-        "pa_gain": chan.pa_gain,
-        "l_taps": chan.n_taps,
-        "alpha_re": chan.alpha.real.tolist(),
-        "alpha_im": chan.alpha.imag.tolist(),
-        "theta": chan.theta.tolist(),
-        "tau_ts": (chan.tau_fine / chan.ofdm.osf).tolist(),
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def load_channel(path) -> ChannelRealization:
-    """Rebuild a realization saved by :func:`save_channel`."""
-    doc = json.loads(Path(path).read_text())
-    geom = UlaGeometry(n=doc["n"], d_over_lambda=doc["d_over_lambda"])
-    ofdm = OfdmParams(**doc["ofdm"])
-    alpha = np.array(doc["alpha_re"]) + 1j * np.array(doc["alpha_im"])
-    return channel_from_paths(
-        geom, ofdm, alpha, np.array(doc["theta"]), np.array(doc["tau_ts"]),
-        doc["l_taps"], RrcFilter(rolloff=doc["rrc_rolloff"], span=doc["rrc_span"]),
-        doc["pa_gain"],
-    )
 
 
 def distortion_noise_power(chan: ChannelRealization, psi_hat: float, scheme: str) -> np.ndarray:

@@ -27,10 +27,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError
+from .errors import ConfigError, NoCompressionPoint
 from .harness import run_ber, run_scatter, run_shaping_spectrum
 from .pa import amp_response, compute_r1db, phase_response
-from .errors import NoCompressionPoint
 from .report import (
     write_ber_csv,
     write_constellation_csv,

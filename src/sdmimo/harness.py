@@ -358,7 +358,8 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     modulated and propagated once for the whole grid, a symbol-level
     block once per noise point; every noise point then gets its own
     noise draw, in grid order.  Trials that raise are excluded from the
-    tallies and counted (a warning summarizes them).
+    tallies and counted (a warning summarizes them); when every trial
+    raises, the ``RuntimeError`` names the first trial's exception.
     Deterministic for a fixed config and seed, for any worker count.
     """
     ctx = build_context(cfg)
@@ -383,7 +384,9 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     if failures:
         warnings.warn(f"{failures} of {cfg.run.trials} trials failed")
     if not good:
-        raise RuntimeError("all trials failed")
+        first = attempts[0][1]
+        raise RuntimeError(f"all trials failed; trial 0 raised "
+                           f"{type(first).__name__}: {first}") from first
 
     # every noise point of every block carries the same bits
     bits_per_block = 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s

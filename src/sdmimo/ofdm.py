@@ -1,4 +1,4 @@
-"""OFDM frame machinery: scaled IDFT, cyclic prefix, sample-and-hold.
+"""OFDM frame machinery: scaled IDFT, cyclic prefix and receiver DFT.
 
 Conventions
 -----------
@@ -13,8 +13,7 @@ The sampling period is normalized to 1 and the transmit pulse is a
 zero-order hold of each sample, which preserves per-antenna maximum
 amplitudes exactly.  The PA chain runs on the symbol-rate samples; the
 hold itself lives in the channel's FIR taps, whose quadrature grid has
-``osf`` points per sample.  :func:`sample_hold` materializes the held
-waveform on that grid for checks against the continuous-time model.
+``osf`` points per sample.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-__all__ = ["OfdmParams", "TimeGrid", "idft_modulate", "sample_hold", "receiver_dft"]
+__all__ = ["OfdmParams", "TimeGrid", "idft_modulate", "receiver_dft"]
 
 
 @dataclass(frozen=True)
@@ -74,20 +73,6 @@ def idft_modulate(params: OfdmParams, z) -> TimeGrid:
     if z.ndim != 2 or z.shape[1] != params.m_s:
         raise ShapeMismatch(f"expected (N, {params.m_s}) symbol grid, got {z.shape}")
     return TimeGrid(x=np.fft.ifft(z, n=params.m, axis=1, norm="forward"), m_cp=params.m_cp)
-
-
-def sample_hold(params: OfdmParams, x_cp) -> np.ndarray:
-    """Zero-order hold of CP-extended samples onto the quadrature grid.
-
-    Each of the ``m_cp + m`` samples is replicated `osf` times, covering
-    t in [-T_cp, T) with grid step 1/osf.
-    """
-    x_cp = np.asarray(x_cp, dtype=complex)
-    if x_cp.ndim != 2 or x_cp.shape[1] != params.m_cp + params.m:
-        raise ShapeMismatch(
-            f"expected (N, {params.m_cp + params.m}) CP-extended block, got {x_cp.shape}"
-        )
-    return np.repeat(x_cp, params.osf, axis=1)
 
 
 def receiver_dft(params: OfdmParams, y) -> np.ndarray:

@@ -21,8 +21,8 @@ decision margins, from which the Gaussian densities and the gradient
 are formed only where the inner loop asks for them, and a round starts
 from the evaluation its predecessor ended on.  The rounds and the line
 search update their arrays in place; every value they compute is the
-one the plain expressions give, so the layout and the in-place updates
-change no decision of the solver.
+one the plain expressions give, so the in-place updates change no
+decision of the solver.
 """
 
 from __future__ import annotations
@@ -59,16 +59,14 @@ class PrecodeResult:
     """Designed transmit block plus solver diagnostics.
 
     `z` is the frequency grid (N, m_s), `x` the time block (with CP
-    view), `beta` the per-user scaling factors.  `gamma` is the ZF
-    normalization factor (None for the symbol-level design).
-    `diagnostics` carries iteration counts, objective values, and the
-    final equality residual where applicable.
+    view), `beta` the per-user scaling factors.  `diagnostics` carries
+    iteration counts, objective values, and the final equality residual
+    where applicable.
     """
 
     z: np.ndarray
     x: TimeGrid
     beta: np.ndarray
-    gamma: Optional[float] = None
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
@@ -137,11 +135,10 @@ def zf_precode(
         scale = budget * math.sqrt(n * m) / float(np.linalg.norm(x_unnorm))
     else:
         scale = _scale_to_max(x_unnorm, budget)
-    gamma = 1.0 / scale
     z = w * scale
     x = TimeGrid(x=x_unnorm * scale, m_cp=chan.ofdm.m_cp)
     beta = np.full(chan.n_users, scale)
-    return PrecodeResult(z=z, x=x, beta=beta, gamma=gamma)
+    return PrecodeResult(z=z, x=x, beta=beta)
 
 
 def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
@@ -181,10 +178,7 @@ class _SlpObjective:
     the evaluated point, which keeps the margins, so :meth:`grad` forms
     the densities and the gradients without forming them again.  A caller
     that needs F at many points and gradients at few pays for the
-    densities only where it asks for them.  The sums of F and of the beta
-    gradient, and the adjoint product, run over copies in the subcarrier-
-    major ``(m_s, K, 2)`` order, which fixes how they round: the same
-    values as an interleaved ``(m_s, K, 2)`` layout throughout gives.
+    densities only where it asks for them.
     """
 
     def __init__(self, chan: ChannelRealization, symbols, sigma_eta, d: int):
@@ -195,19 +189,8 @@ class _SlpObjective:
         self.freq_h = np.ascontiguousarray(chan.freq.conj().transpose(0, 2, 1))  # (m_s, N, K)
         self.offsets, self.bounds = _level_offsets(np.ascontiguousarray(symbols).view(float), d)
         self.sigma = sigma_eta.reshape(-1, 1)
-        # work arrays, overwritten by every call: the received values in the
-        # user-major layout, and the (m_s, K, 2) copies that are summed or
-        # go into the adjoint product
+        # the received values in the user-major layout, overwritten by every call
         self._v = np.empty((k_users, m_s), dtype=complex)
-        self._log_dp = np.empty((m_s, k_users, 2))
-        self._g_v = np.empty((m_s, k_users, 2))
-        self._g_beta = np.empty((m_s, k_users, 2))
-
-    def _subcarrier_major(self, a, out):
-        """Copy a user-major ``(K, 2 m_s)`` array into `out`, ``(m_s, K, 2)``
-        (as I/Q pairs, which moves the same bytes several times faster)."""
-        np.copyto(out.view(complex)[:, :, 0], a.view(complex).T)
-        return out
 
     def value(self, beta, z):
         """``(F, point)``: the objective, capped at a large finite value when
@@ -219,9 +202,7 @@ class _SlpObjective:
                      self.sigma)
         dp, _, _ = dp_components(t, need_grad=False)
         dp_safe = np.maximum(dp, _DP_FLOOR, out=dp)
-        log_dp = self._subcarrier_major(dp_safe, self._log_dp)
-        np.log(log_dp, out=log_dp)
-        f = min(0.0 - float(log_dp.sum()), _OBJECTIVE_CAP)
+        f = min(0.0 - float(np.log(dp_safe).sum()), _OBJECTIVE_CAP)
         return f, (t, dp_safe)
 
     def grad(self, point):
@@ -231,9 +212,9 @@ class _SlpObjective:
         scale = math.sqrt(2.0) / (self.sigma * dp_safe)
         g_v = scale * (phi[0] - phi[1])                          # d F / d v
         g_beta = scale * (phi[0] * self.offsets[0] - phi[1] * self.offsets[1])
-        grad_beta = -self._subcarrier_major(g_beta, self._g_beta).sum(axis=(0, 2))
-        # the real view read back as complex is g_R + j g_I, (m_s, K, 1)
-        g_v = self._subcarrier_major(g_v, self._g_v).view(complex)
+        grad_beta = -g_beta.sum(axis=1)
+        # the real view read back as complex is g_R + j g_I, (K, m_s)
+        g_v = g_v.view(complex).T[:, :, None]                   # (m_s, K, 1)
         grad_z = np.ascontiguousarray(np.matmul(self.freq_h, g_v)[:, :, 0].T)
         return grad_beta, grad_z
 
@@ -253,9 +234,7 @@ def slp_objective_and_grad(beta, z, chan: ChannelRealization, symbols, sigma_eta
     The gradient w.r.t. Z follows the convention
     ``F(Z + dZ) ~= F(Z) + Re tr(G^H dZ)``, i.e. real and imaginary parts
     of G are the partial derivatives w.r.t. the real and imaginary parts
-    of Z.  F is the value :func:`slp_objective` gives at the same point;
-    the sums over users, subcarriers and I/Q run over one interleaved
-    array, so they round differently from per-component sums (by ulps).
+    of Z.  F is the value :func:`slp_objective` gives at the same point.
     """
     obj = _SlpObjective(chan, symbols, sigma_eta, d)
     f, point = obj.value(np.asarray(beta, dtype=float), np.asarray(z, dtype=complex))
@@ -464,6 +443,5 @@ def slp_precode(
         z=z,
         x=TimeGrid(x=x_final, m_cp=chan.ofdm.m_cp),
         beta=beta,
-        gamma=None,
         diagnostics=diag,
     )

@@ -15,11 +15,11 @@ symbol-level objective forms the margins from constants it lays out
 once per solve and keeps them for its gradient.
 
 Only the symbol-level precoder evaluates the Gaussian CDF, so
-``scipy.special.ndtr`` is imported inside the two functions that call
-it: ``import sdmimo`` then loads numpy and the standard library only,
-and a run with no ``slp-*`` selector never loads SciPy (its import is
-about half of a ZF run's start-up).  An SLP run pays the same import
-once, at its first objective evaluation.
+``scipy.special.ndtr`` is imported inside :func:`dp_components`, the
+one function that calls it: ``import sdmimo`` then loads numpy and the
+standard library only, and a run with no ``slp-*`` selector never loads
+SciPy (its import is about half of a ZF run's start-up).  An SLP run
+pays the same import once, at its first objective evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "QamConstellation",
     "detect",
-    "dp_real_component",
     "dp_components",
     "margins",
     "symbols_to_bits_errors",
@@ -97,37 +96,6 @@ def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
     z = np.asarray(r, dtype=complex) / beta
     d = constellation.d
     return _nearest_level(z.real, d) + 1j * _nearest_level(z.imag, d)
-
-
-def dp_real_component(
-    s_component: int, received_component: float, beta: float, sigma_eta: float, d: int
-) -> float:
-    """Probability of deciding one real/imaginary component correctly.
-
-    With effective noise std `sigma_eta` (complex, so each axis has
-    variance sigma_eta^2/2), margin offsets
-    ``a = beta + beta*s - v`` and ``c = -beta + beta*s - v`` where `v` is
-    the noise-free received component:
-
-    * interior level (|s| < 2d-1):  Phi(sqrt(2) a / sigma) - Phi(sqrt(2) c / sigma)
-    * top level (s = 2d-1):         Phi(-sqrt(2) c / sigma)
-    * bottom level (s = -(2d-1)):   Phi(sqrt(2) a / sigma)
-    """
-    from scipy.special import ndtr
-
-    if sigma_eta <= 0:
-        raise ValueError("sigma_eta must be positive")
-    s = int(s_component)
-    a = beta + beta * s - received_component
-    c = -beta + beta * s - received_component
-    rt2 = np.sqrt(2.0)
-    if abs(s) < 2 * d - 1:
-        return float(ndtr(rt2 * a / sigma_eta) - ndtr(rt2 * c / sigma_eta))
-    if s == 2 * d - 1:
-        return float(ndtr(-rt2 * c / sigma_eta))
-    if s == -(2 * d - 1):
-        return float(ndtr(rt2 * a / sigma_eta))
-    raise ValueError(f"{s} is not an admissible level for d={d}")
 
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)

@@ -1,4 +1,5 @@
-"""Independent reference for :func:`sdmimo.channel.propagate`.
+"""Independent reference for :func:`sdmimo.channel.propagate`, and the
+zero-order hold it is built on.
 
 Propagates a symbol-rate frame the long way: hold every sample for
 ``osf`` grid points, form each user's waveform as the delayed, steered
@@ -12,13 +13,29 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from sdmimo.channel import ChannelRealization, steering_vector
+from sdmimo.errors import ShapeMismatch
+from sdmimo.ofdm import OfdmParams
+
+
+def sample_hold(params: OfdmParams, x_cp) -> np.ndarray:
+    """Zero-order hold of CP-extended samples onto the quadrature grid.
+
+    Each of the ``m_cp + m`` samples is replicated `osf` times, covering
+    t in [-T_cp, T) with grid step 1/osf.
+    """
+    x_cp = np.asarray(x_cp, dtype=complex)
+    if x_cp.ndim != 2 or x_cp.shape[1] != params.m_cp + params.m:
+        raise ShapeMismatch(
+            f"expected (N, {params.m_cp + params.m}) CP-extended block, got {x_cp.shape}"
+        )
+    return np.repeat(x_cp, params.osf, axis=1)
 
 
 def fine_grid_propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
     """Noise-free received (K, m_cp + m) samples for the (N, m_cp + m) frame `u`."""
     ofdm = chan.ofdm
     osf = ofdm.osf
-    u_fine = np.repeat(np.asarray(u, dtype=complex), osf, axis=1)
+    u_fine = sample_hold(ofdm, u)
     n_fine = u_fine.shape[1]
     omega, center = chan.rx_filter.sample(osf)
     max_shift = int(chan.tau_fine.max(initial=0))

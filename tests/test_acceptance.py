@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from sdmimo.channel import RrcFilter, UlaGeometry, distortion_noise_power, draw_channel, psi_hat_bound
+from sdmimo.channel import RrcFilter, UlaGeometry, distortion_noise_power, draw_channel
 from sdmimo.config import config_from_dict
 from sdmimo.harness import run_ber, run_scatter, run_shaping_spectrum, substream
 from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft
@@ -18,11 +18,12 @@ from sdmimo.precoding import (
     slp_precode,
     zf_precode,
 )
-from sdmimo.qam import QamConstellation, dp_real_component
+from sdmimo.qam import QamConstellation, dp_components, margins
 from sdmimo.sigma_delta import ModulatorConfig, modulate
 
 from conftest import complex_uniform_disk
 from fine_grid import fine_grid_propagate
+from rx_filters import psi_hat_bound
 
 
 def _report(num: int, name: str, detail: str = "") -> None:
@@ -174,7 +175,7 @@ def test_criterion_06_zf_exactness_and_tightness():
         s = const.random_symbols(rng, (k, 10))
         budget = float(rng.uniform(0.01, 1.0))
         res = zf_precode(chan, s, budget)
-        eq = np.abs(np.einsum("pkn,np->kp", chan.freq, res.z) * res.gamma - s)
+        eq = np.abs(np.einsum("pkn,np->kp", chan.freq, res.z) / res.beta[0] - s)
         worst_eq = max(worst_eq, float(eq.max()))
         peak = float(np.abs(res.x.x).max())
         worst_peak = max(worst_peak, abs(peak - budget) / np.spacing(budget))
@@ -198,7 +199,9 @@ def test_criterion_07_dp_formula_vs_monte_carlo():
         decided = np.clip(2 * np.round(((v + noise) / beta - 1) / 2) + 1,
                           -(2 * d - 1), 2 * d - 1)
         hits = float(np.count_nonzero(decided == s)) / n
-        dp = dp_real_component(s, v, beta, sigma, d)
+        dp, _, _ = dp_components(margins(np.array([s]), np.array([v]), beta, sigma, d),
+                                 need_grad=False)
+        dp = float(dp[0])
         band = 3.0 * math.sqrt(dp * (1.0 - dp) / n)
         assert abs(hits - dp) <= band
         details.append(f"{label}: |{hits:.5f}-{dp:.5f}| <= {band:.1e}")

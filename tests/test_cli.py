@@ -213,6 +213,22 @@ def test_value_of_the_wrong_type_exits_3(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("spread", [1e-9, 1e-6, 1e-3])
+def test_all_trials_failed_names_the_cause(tiny_config, tmp_path, capsys, spread):
+    # a tiny positive angle spread passes the range check but leaves every
+    # channel rank deficient: the run still fails, and says why
+    doc = json.loads(tiny_config.read_text())
+    doc["system"]["angle_spread_deg"] = spread
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.warns(UserWarning, match="failed"):
+        code = cmd_dispatch(["ber", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime"
+    assert "all trials failed" in err["message"] and "RankDeficient" in err["message"]
+
+
 @pytest.mark.parametrize("precoder", ["zf-tsd", "slp-tsd"])
 def test_ber_outputs_identical_across_thread_counts(tiny_config, tmp_path, precoder):
     doc = json.loads(tiny_config.read_text())

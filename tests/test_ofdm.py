@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sdmimo.errors import ShapeMismatch
-from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft, sample_hold
+from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft
+
+from fine_grid import sample_hold
 
 
 def _naive_f(m):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdmimo.errors import NoCompressionPoint
-from sdmimo.ofdm import OfdmParams, sample_hold
+from sdmimo.ofdm import OfdmParams
 from sdmimo.pa import (
     PaModel,
     ShapingBudget,
@@ -17,6 +17,8 @@ from sdmimo.pa import (
     compute_r1db,
     phase_response,
 )
+
+from fine_grid import sample_hold
 
 # worst-case relative distortion of the modified Rapp set over |z| <= r_max,
 # frozen from a 1e6-point brute-force grid search

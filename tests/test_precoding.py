@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdmimo.channel import (
-    DiracFilter,
     GramFactor,
     RrcFilter,
     UlaGeometry,
@@ -27,6 +26,7 @@ from sdmimo.precoding import (
 from sdmimo import harness, precoding
 from sdmimo.config import config_from_dict
 from sdmimo.qam import QamConstellation, margins
+from rx_filters import DiracFilter
 from slp_oracle import slp_objective_and_grad_oracle
 from zf_oracle import svd_min_norm_solve, svd_rank_deficient
 
@@ -56,7 +56,7 @@ def test_zf_pseudo_inverse_identity():
     chan = _random_channel(rng, 8, 2, 16, 10)
     s = QamConstellation(2).random_symbols(rng, (2, 10))
     res = zf_precode(chan, s, budget=0.08)
-    received = np.einsum("pkn,np->kp", chan.freq, res.z) * res.gamma
+    received = np.einsum("pkn,np->kp", chan.freq, res.z) / res.beta[0]
     assert np.max(np.abs(received - s)) <= 1e-10
 
 
@@ -211,7 +211,7 @@ def test_zf_precode_matches_svd_oracle_on_drawn_channels():
         s = QamConstellation(2).random_symbols(rng, (4, 40))
         res = zf_precode(chan, s, budget=0.08)
         w_ref = svd_min_norm_solve(chan.freq, s.T).T
-        assert np.max(np.abs(res.z * res.gamma - w_ref)) <= 1e-12 * np.abs(w_ref).max()
+        assert np.max(np.abs(res.z / res.beta[0] - w_ref)) <= 1e-12 * np.abs(w_ref).max()
 
 
 def test_project_amplitude_basics():

@@ -13,9 +13,13 @@ from sdmimo.qam import (
     detect,
     dp_components,
     margins,
-    dp_real_component,
     symbols_to_bits_errors,
 )
+
+
+def _dp_scalar(s, v, beta, sigma, d):
+    """The oracle's detection probability of one component, as a float."""
+    return float(dp_components_oracle(s, v, beta, sigma, d)[0])
 
 
 def test_constellation_structure():
@@ -153,7 +157,7 @@ def test_dp_interior_example():
     beta = 1.0
     sigma = np.sqrt(2.0) / 2.0 * beta * 2 / 2  # sqrt(2)*beta/sigma == 2
     sigma = np.sqrt(2.0) * beta / 2.0
-    dp = dp_real_component(1, beta * 1.0, beta, sigma, d=2)
+    dp = _dp_scalar(1, beta * 1.0, beta, sigma, d=2)
     assert dp == pytest.approx(2 * ndtr(2.0) - 1.0, abs=1e-12)
     assert dp == pytest.approx(0.9545, abs=1e-4)
 
@@ -161,14 +165,14 @@ def test_dp_interior_example():
 def test_dp_boundary_example():
     beta, sigma, d = 0.7, 0.31, 2
     s = 2 * d - 1
-    dp = dp_real_component(s, beta * s, beta, sigma, d)
+    dp = _dp_scalar(s, beta * s, beta, sigma, d)
     assert dp == pytest.approx(float(ndtr(np.sqrt(2) * beta / sigma)), abs=1e-12)
-    dp_low = dp_real_component(-s, -beta * s, beta, sigma, d)
+    dp_low = _dp_scalar(-s, -beta * s, beta, sigma, d)
     assert dp_low == pytest.approx(dp, abs=1e-12)
 
 
 def test_dp_zero_beta_interior_is_zero():
-    assert dp_real_component(1, 0.0, 0.0, 1.0, d=2) == pytest.approx(0.0, abs=1e-15)
+    assert _dp_scalar(1, 0.0, 0.0, 1.0, d=2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_dp_left_right_partition():
@@ -176,7 +180,7 @@ def test_dp_left_right_partition():
     beta, sigma, d, s, v = 0.9, 0.4, 2, 1, 0.55
     a = beta + beta * s - v
     c = -beta + beta * s - v
-    p_correct = dp_real_component(s, v, beta, sigma, d)
+    p_correct = _dp_scalar(s, v, beta, sigma, d)
     p_below = float(ndtr(np.sqrt(2) * c / sigma))
     p_above = 1.0 - float(ndtr(np.sqrt(2) * a / sigma))
     assert p_correct + p_below + p_above == pytest.approx(1.0, abs=1e-14)
@@ -193,7 +197,9 @@ def test_dp_matches_monte_carlo(s, v_off):
     received = v + noise
     decided = np.clip(2 * np.round((received / beta - 1) / 2) + 1, -(2 * d - 1), 2 * d - 1)
     hits = np.count_nonzero(decided == s) / n
-    dp = dp_real_component(s, v, beta, sigma, d)
+    dp, _, _ = dp_components(margins(np.array([s]), np.array([v]), beta, sigma, d),
+                             need_grad=False)
+    dp = float(dp[0])
     assert abs(hits - dp) <= 3.0 * np.sqrt(dp * (1 - dp) / n) + 1e-4
 
 
@@ -207,8 +213,8 @@ def test_dp_components_vectorized_consistency():
     dp, phi_hi, phi_lo = dp_components(margins(s.real, v, beta, sigma, 2))
     for i in range(3):
         for p in range(8):
-            ref = dp_real_component(int(s.real[i, p]), v[i, p],
-                                    float(beta[i, 0]), float(sigma[i, 0]), 2)
+            ref = _dp_scalar(int(s.real[i, p]), v[i, p],
+                             float(beta[i, 0]), float(sigma[i, 0]), 2)
             assert dp[i, p] == pytest.approx(ref, abs=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sdmimo import sigma_delta
 from sdmimo.errors import ShapeMismatch
-from sdmimo.ofdm import OfdmParams, sample_hold
+from sdmimo.ofdm import OfdmParams
 from sdmimo.pa import PaModel, ShapingBudget
 from sdmimo.sigma_delta import (
     ModulatorConfig,
@@ -19,6 +19,7 @@ from sdmimo.sigma_delta import (
 )
 
 from conftest import complex_uniform_disk
+from fine_grid import sample_hold
 from sd_oracle import modulate_oracle
 
 
