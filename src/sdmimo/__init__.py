@@ -11,7 +11,6 @@ from .channel import (
     distortion_noise_power,
     draw_channel,
     propagate,
-    psi_hat_calibrated,
     steering_vector,
 )
 from .config import ExperimentConfig, load_config

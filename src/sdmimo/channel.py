@@ -65,7 +65,6 @@ __all__ = [
     "propagate",
     "add_noise",
     "hold_rx_power_factor",
-    "psi_hat_calibrated",
     "distortion_noise_power",
 ]
 
@@ -428,37 +427,26 @@ def hold_rx_power_factor(rx_filter, osf: int) -> float:
     return float(np.sum(po**2) / osf)
 
 
-def psi_hat_calibrated(pa_gain: float, q_second_moment: float, rx_filter,
-                       osf: int) -> float:
-    """Effective receive-side distortion parameter from a measured
-    per-antenna distortion second moment.
+def distortion_noise_power(chan: ChannelRealization, q_second_moment: float,
+                           scheme: str) -> np.ndarray:
+    """Per-user closed-form estimate of the received shaped-distortion power
+    of a modulator whose per-antenna distortion has second moment
+    `q_second_moment`.
 
-    Returns the value ``p`` such that ``p^2 / 3`` equals the estimated
-    received per-antenna distortion power
-    ``A^2 * E|q|^2 * integral (Pi (*) Omega)^2``, so `p` drops into the
-    same closed forms as the worst-case bound while tracking the
-    realized drive statistics."""
-    if q_second_moment < 0:
-        raise ValueError("second moment must be nonnegative")
-    factor = hold_rx_power_factor(rx_filter, osf)
-    return pa_gain * math.sqrt(3.0 * q_second_moment * factor)
-
-
-def distortion_noise_power(chan: ChannelRealization, psi_hat: float, scheme: str) -> np.ndarray:
-    """Per-user closed-form estimate of the received shaped-distortion power.
-
-    Under the i.i.d. distortion model (per-antenna received distortion
-    amplitude uniform on [0, psi_hat], uniform phase), this is
-    :func:`sdmimo.sigma_delta.shaped_power` over each user's paths, with
-    ``base = psi_hat^2 / 3``, half frequencies
-    ``pi (d/lambda) sin(theta_{i,j})`` and weights ``|alpha_{i,j}|^2``.
-    Zeros for ``scheme == "none"`` (no modulator, nothing shaped).
+    Each antenna's received distortion power is
+    ``base = A^2 * E|q|^2 * integral (Pi (*) Omega)^2``, with the PA gain
+    A and the receive filter of `chan` (see :func:`hold_rx_power_factor`).
+    Under the i.i.d. distortion model the per-user power is
+    :func:`sdmimo.sigma_delta.shaped_power` of `scheme` over each user's
+    paths, with half frequencies ``pi (d/lambda) sin(theta_{i,j})`` and
+    weights ``|alpha_{i,j}|^2``.
 
     The first-order forms follow the i.i.d. model directly; the
     second-order forms apply the same model to the squared
     second-difference response.
     """
-    if scheme == "none":
-        return np.zeros(chan.n_users)
+    if q_second_moment < 0:
+        raise ValueError("second moment must be nonnegative")
+    base = chan.pa_gain**2 * q_second_moment * hold_rx_power_factor(chan.rx_filter, chan.ofdm.osf)
     half_w = np.pi * chan.geom.d_over_lambda * np.sin(chan.theta)
-    return shaped_power(scheme, chan.geom.n, psi_hat**2 / 3.0, np.abs(chan.alpha) ** 2, half_w)
+    return shaped_power(scheme, chan.geom.n, base, np.abs(chan.alpha) ** 2, half_w)

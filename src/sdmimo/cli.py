@@ -74,9 +74,8 @@ def _pa_curve_rows(cfg: ExperimentConfig, n_points: int):
     rows = []
     for r in grid:
         marker = 1 if (r1db is not None and r == r1db) else 0
-        ideal = pa.gain * min(r, pa.r_max)
         rows.append((float(r), float(amp_response(pa, r)), float(phase_response(pa, r)),
-                     float(ideal), marker))
+                     float(amp_response(pa.linear, r)), marker))
     return rows
 
 

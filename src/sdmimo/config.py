@@ -23,9 +23,11 @@ from typing import Optional, Tuple
 from .errors import ConfigError
 from .ofdm import OfdmParams
 from .pa import PaModel
+from .precoding import SlpSettings
 from .sigma_delta import SCHEMES
 
 __all__ = [
+    "ChainSpec",
     "SystemConfig",
     "PrecoderConfig",
     "RunConfig",
@@ -34,18 +36,28 @@ __all__ = [
     "config_to_dict",
 ]
 
-# precoder selector -> (family, budget kind, default scheme, PA layout when
-# the scheme is "none"); the recipes are explained in sdmimo.harness
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """A transmit-chain recipe; the recipes are explained in sdmimo.harness."""
+
+    family: str        # "zf" | "slp"
+    budget_kind: str   # "headroom" | "backoff" | "total-power"
+    scheme: str        # a key of sigma_delta.SCHEMES, or "none"
+    pa_mode: str       # used when scheme == "none": "all" | "except_last" | "ideal"
+
+
+# precoder selector -> its chain, with the default scheme
 CHAINS = {
-    "zf-sd": ("zf", "headroom", "sd1", "all"),
-    "zf-tsd": ("zf", "headroom", "tsd1", "all"),
-    "zf-bo": ("zf", "backoff", "none", "except_last"),
-    "zf-tp": ("zf", "total-power", "none", "except_last"),
-    "zf-ref": ("zf", "headroom", "none", "ideal"),
-    "slp-sd": ("slp", "headroom", "sd1", "all"),
-    "slp-tsd": ("slp", "headroom", "tsd1", "all"),
-    "slp-bo": ("slp", "backoff", "none", "except_last"),
-    "slp-ref": ("slp", "headroom", "none", "ideal"),
+    "zf-sd": ChainSpec("zf", "headroom", "sd1", "all"),
+    "zf-tsd": ChainSpec("zf", "headroom", "tsd1", "all"),
+    "zf-bo": ChainSpec("zf", "backoff", "none", "except_last"),
+    "zf-tp": ChainSpec("zf", "total-power", "none", "except_last"),
+    "zf-ref": ChainSpec("zf", "headroom", "none", "ideal"),
+    "slp-sd": ChainSpec("slp", "headroom", "sd1", "all"),
+    "slp-tsd": ChainSpec("slp", "headroom", "tsd1", "all"),
+    "slp-bo": ChainSpec("slp", "backoff", "none", "except_last"),
+    "slp-ref": ChainSpec("slp", "headroom", "none", "ideal"),
 }
 PRECODER_NAMES = tuple(CHAINS)
 SCHEME_NAMES = ("auto", *SCHEMES, "none")
@@ -80,14 +92,10 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class PrecoderConfig:
+class PrecoderConfig(SlpSettings):
+    """The precoder selector and the symbol-level solver's settings."""
+
     name: str = "zf-tsd"
-    rho: Optional[float] = None    # None: scale-aware default, max(100, K*m_s/5)
-    admm_max_iter: int = 30
-    apg_max_iter: int = 50
-    ftol: float = 1e-3
-    xtol: float = 1e-3
-    apg_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -217,7 +225,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if bad:
         raise ConfigError(f"unknown top-level key(s): {sorted(bad)}")
     system = SystemConfig(**_take(doc, "system", SystemConfig))
-    precoder = PrecoderConfig(**_take(doc, "precoder", PrecoderConfig))
+    try:
+        precoder = PrecoderConfig(**_take(doc, "precoder", PrecoderConfig))
+    except ValueError as exc:
+        raise ConfigError(f"precoder: {exc}") from exc
     run_sec = dict(_take(doc, "run", RunConfig))
     if "spectrum_angles_deg" in run_sec:
         run_sec["spectrum_angles_deg"] = tuple(run_sec["spectrum_angles_deg"])
@@ -280,14 +291,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run: seed must be >= 0")
     if not (math.isfinite(cfg.chi_value) and cfg.chi_value > 0):
         raise ConfigError("chi must be finite and positive")
-    pc = cfg.precoder
-    if pc.admm_max_iter < 1 or pc.apg_max_iter < 1:
-        raise ConfigError("precoder: admm_max_iter and apg_max_iter must be >= 1")
-    for key in ("ftol", "xtol", "apg_tol"):
-        if not getattr(pc, key) > 0:
-            raise ConfigError(f"precoder: {key} must be positive")
-    if pc.rho is not None and not pc.rho > 0:
-        raise ConfigError("precoder: rho must be positive when given")
 
 
 def load_config(path) -> ExperimentConfig:

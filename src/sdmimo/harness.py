@@ -4,11 +4,12 @@ shaped-distortion angular spectra.
 Every experiment runs each OFDM block through one path, with one entry
 point per stage.  :func:`_designs` precodes it: one zero-forcing design
 for the whole noise grid, or one symbol-level solve per noise point from
-one shared start.  :func:`_transmit` runs each design once through
-``modulate`` and the PAs and counts its overloads once; ``propagate``
-carries it to the users noise-free.  A BER trial adds one ``add_noise``
-draw per grid point, in grid order, then runs one DFT, detection and bit
-tally over the stack; the scatter run reads the noise-free frame.
+one shared zero-forcing start and distortion measurement.
+:func:`_transmit` runs each design once through ``modulate`` and the
+PAs and counts its overloads once; ``propagate`` carries it to the
+users noise-free.  A BER trial adds one ``add_noise`` draw per grid
+point, in grid order, then runs one DFT, detection and bit tally over
+the stack; the scatter run reads the noise-free frame.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -23,15 +24,17 @@ Chain recipes
 -------------
 The precoder selector fixes the family, the amplitude budget, and the
 default PA/modulator layout; the one table of them is
-:data:`sdmimo.config.CHAINS`.  Budgets: "headroom" is the modulator's
-input bound (chi - psi, or chi - 3 psi for sd2/tsd2; chi - psi with no
-modulator), "backoff" the PA's r_1dB, "total-power" the reference r_max.
+:data:`sdmimo.config.CHAINS`, one :class:`~sdmimo.config.ChainSpec` per
+selector.  Budgets: "headroom" is the modulator's input bound (chi -
+psi, or chi - 3 psi for sd2/tsd2; chi - psi with no modulator),
+"backoff" the PA's r_1dB, "total-power" the reference r_max.
 PA layouts with no modulator: "all" nonlinear, "except_last" (a linear
 last antenna) or "ideal".  The `scheme` config key (default "auto") can
 override the modulator, e.g. ``{"precoder": "zf-sd", "scheme": "none"}``
 runs plain ZF through distorting PAs with no shaping loop.
-:func:`build_context` resolves the chain once per run, modulator
-included, so a scheme whose no-overloading input set is empty for the
+:func:`build_context` looks the selector's chain up once per run,
+replaces its scheme when the key is not "auto", and builds the
+modulator, so a scheme whose no-overloading input set is empty for the
 configured PA and chi is a :class:`~sdmimo.errors.ConfigError` before
 any trial, whatever the selector.
 
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,23 +61,20 @@ from .channel import (
     distortion_noise_power,
     draw_channel,
     propagate,
-    psi_hat_calibrated,
     steering_vector,
 )
-from .config import CHAINS, ExperimentConfig
+from .config import CHAINS, ChainSpec, ExperimentConfig
 from .errors import ConfigError
 from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
-from .pa import PaModel, ShapingBudget, apply_pa, compute_r1db
+from .pa import ShapingBudget, apply_pa, compute_r1db
 from .precoding import PrecodeResult, slp_precode, zf_precode
 from .qam import QamConstellation, detect, symbols_to_bits_errors
 from .sigma_delta import ModulatorConfig, count_overloads, modulate, shaped_distortion_power
 
 __all__ = [
-    "ChainSpec",
     "MetricRecord",
     "ScatterResult",
     "SpectrumRow",
-    "resolve_chain",
     "substream",
     "run_ber",
     "run_scatter",
@@ -85,25 +85,6 @@ __all__ = [
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Independent generator for a (seed, index...) path."""
     return np.random.default_rng(np.random.SeedSequence((master_seed, *path)))
-
-
-@dataclass(frozen=True)
-class ChainSpec:
-    """Resolved transmit-chain recipe (see module docstring)."""
-
-    family: str        # "zf" | "slp"
-    budget_kind: str   # "headroom" | "backoff" | "total-power"
-    scheme: str        # a key of sigma_delta.SCHEMES, or "none"
-    pa_mode: str       # used when scheme == "none": "all" | "except_last" | "ideal"
-
-
-def resolve_chain(precoder_name: str, scheme: str = "auto") -> ChainSpec:
-    """Map a precoder selector plus optional scheme override to a recipe."""
-    if precoder_name not in CHAINS:
-        raise ConfigError(f"unknown precoder selector {precoder_name!r}")
-    family, budget_kind, default_scheme, pa_mode = CHAINS[precoder_name]
-    return ChainSpec(family=family, budget_kind=budget_kind,
-                     scheme=default_scheme if scheme == "auto" else scheme, pa_mode=pa_mode)
 
 
 @dataclass(frozen=True)
@@ -123,7 +104,9 @@ class _Context:
 
 def build_context(cfg: ExperimentConfig) -> _Context:
     sys_ = cfg.system
-    chain = resolve_chain(cfg.precoder.name, cfg.scheme)
+    chain = CHAINS[cfg.precoder.name]
+    if cfg.scheme != "auto":
+        chain = replace(chain, scheme=cfg.scheme)
     ofdm = sys_.ofdm
     geom = UlaGeometry(n=sys_.n, d_over_lambda=sys_.d_over_lambda)
     rx_filter = RrcFilter(rolloff=sys_.rrc_rolloff, span=sys_.rrc_span_ts)
@@ -162,64 +145,34 @@ def _draw_trial_channel(ctx: _Context, rng: np.random.Generator,
     )
 
 
-def _slp_start(ctx: _Context, chan: ChannelRealization,
-               symbols: np.ndarray) -> Tuple[PrecodeResult, np.ndarray]:
-    """The symbol-level design's noise-independent inputs for one block:
-    its zero-forcing start point and the per-user received
-    shaped-distortion power the design plans for.
-
-    The power uses the closed-form angular structure with the
-    per-antenna distortion second moment measured by running the
-    modulator on the zero-forcing block (the same drive statistics the
-    final signal will have).
-    """
-    zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
-    if ctx.modulator is None:
-        return zf, np.zeros(chan.n_users)
-    _, q, _ = modulate(ctx.modulator, zf.x.with_cp)
-    shaped = q[:q.shape[0] - ctx.modulator.n_tail]
-    m2 = float(np.mean(np.abs(shaped) ** 2))
-    psi_hat_eff = psi_hat_calibrated(ctx.cfg.pa.gain, m2, ctx.rx_filter, ctx.ofdm.osf)
-    return zf, distortion_noise_power(chan, psi_hat_eff, ctx.chain.scheme)
-
-
-def _slp_solve(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
-               start: Tuple[PrecodeResult, np.ndarray], sigma_v2: float) -> PrecodeResult:
-    """Symbol-level design at one noise level from :func:`_slp_start`'s output.
-
-    The per-user effective noise std is given in the units of the
-    normalized decision statistic r / M: the thermal and distortion
-    variances are divided by the DFT round-trip gain M so the design
-    margins match the detector's actual operating point.
-    """
-    zf, sigma_xi2 = start
-    sigma_eta = np.sqrt((sigma_xi2 + sigma_v2) / ctx.ofdm.m)
-    pc = ctx.cfg.precoder
-    return slp_precode(
-        chan, symbols, ctx.bound, sigma_eta,
-        rho=pc.rho, admm_max_iter=pc.admm_max_iter, apg_max_iter=pc.apg_max_iter,
-        ftol=pc.ftol, xtol=pc.xtol, apg_tol=pc.apg_tol, d=ctx.const.d, start=zf,
-    )
-
-
 def _designs(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
              grid: Sequence[float]) -> List[PrecodeResult]:
     """One block's transmit designs for the noise grid `grid`: one
     zero-forcing design shared by every point, or one symbol-level solve
-    per point, all from the block's single :func:`_slp_start`."""
+    per point from the block's one zero-forcing start.
+
+    The solves plan for the closed-form per-user shaped-distortion power
+    of the distortion second moment measured by running the modulator on
+    the zero-forcing block (the drive statistics the final signal will
+    have).  Their per-user noise std is in units of the decision
+    statistic r / M: the thermal and distortion variances are divided by
+    the DFT round-trip gain M, so the design margins match the
+    detector's operating point.
+    """
     if ctx.chain.family == "zf":
         # every budget but total power scales to a peak amplitude
         variant = "total-power" if ctx.chain.budget_kind == "total-power" else "sigma-delta"
         return [zf_precode(chan, symbols, ctx.bound, variant=variant)]
-    start = _slp_start(ctx, chan, symbols)
-    return [_slp_solve(ctx, chan, symbols, start, sv2) for sv2 in grid]
-
-
-def _precode(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
-             sigma_v2: float) -> PrecodeResult:
-    """The block's design at the single noise level `sigma_v2`."""
-    (design,) = _designs(ctx, chan, symbols, (sigma_v2,))
-    return design
+    zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
+    sigma_xi2 = np.zeros(chan.n_users)
+    if ctx.modulator is not None:
+        _, q, _ = modulate(ctx.modulator, zf.x.with_cp)
+        shaped = q[:q.shape[0] - ctx.modulator.n_tail]
+        sigma_xi2 = distortion_noise_power(chan, float(np.mean(np.abs(shaped) ** 2)),
+                                           ctx.chain.scheme)
+    return [slp_precode(chan, symbols, ctx.bound, np.sqrt((sigma_xi2 + sv2) / ctx.ofdm.m),
+                        d=ctx.const.d, settings=ctx.cfg.precoder, start=zf)
+            for sv2 in grid]
 
 
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
@@ -229,12 +182,11 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     pa = ctx.cfg.pa
     if ctx.modulator is not None:
         return modulate(ctx.modulator, x_cp)[0], count_overloads(ctx.modulator, x_cp)
-    linear = PaModel.ideal(pa.gain, pa.r_max)
     if ctx.chain.pa_mode == "ideal":
-        return apply_pa(linear, x_cp), 0
+        return apply_pa(pa.linear, x_cp), 0
     u = apply_pa(pa, x_cp)
     if ctx.chain.pa_mode == "except_last":
-        u[-1] = apply_pa(linear, x_cp[-1])
+        u[-1] = apply_pa(pa.linear, x_cp[-1])
     return u, 0
 
 
@@ -443,7 +395,7 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     intended = np.empty((cfg.system.k, n_blocks), dtype=complex)
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        design = _precode(ctx, chan, symbols, cfg.sigma_v2[0])
+        (design,) = _designs(ctx, chan, symbols, cfg.sigma_v2[:1])
         u, _ = _transmit(ctx, design.x)
         r = receiver_dft(ctx.ofdm, propagate(chan, u))
         points[:, blk] = r[:, p] / (ctx.ofdm.m * design.beta)

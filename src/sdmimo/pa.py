@@ -80,6 +80,11 @@ class PaModel:
     def ideal(cls, gain: float, r_max: float) -> "PaModel":
         return cls(kind="ideal", gain=gain, r_max=r_max)
 
+    @property
+    def linear(self) -> "PaModel":
+        """The ideal PA of the same gain and saturation amplitude."""
+        return PaModel.ideal(self.gain, self.r_max)
+
     @classmethod
     def modified_rapp(
         cls,

@@ -40,6 +40,7 @@ from .qam import _level_offsets, _margins, _phi_pdf, dp_components
 
 __all__ = [
     "PrecodeResult",
+    "SlpSettings",
     "zf_precode",
     "project_amplitude",
     "slp_objective",
@@ -52,6 +53,28 @@ ZF_VARIANTS = ("sigma-delta", "total-power")
 
 _OBJECTIVE_CAP = 1e12
 _DP_FLOOR = 1e-300
+
+
+@dataclass(frozen=True)
+class SlpSettings:
+    """Settings of :func:`slp_precode`, checked when constructed: a value
+    out of range raises ``ValueError`` naming its key."""
+
+    rho: Optional[float] = None    # ADMM penalty > 0; None: max(100, K*m_s/5)
+    admm_max_iter: int = 30        # ADMM rounds, >= 1
+    apg_max_iter: int = 50         # APG steps per round, >= 1
+    ftol: float = 1e-3             # relative objective change that ends the rounds, > 0
+    xtol: float = 1e-3             # squared equality residual that ends them, > 0
+    apg_tol: float = 1e-6          # squared step that ends an APG loop, > 0
+
+    def __post_init__(self) -> None:
+        for key in ("admm_max_iter", "apg_max_iter"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("ftol", "xtol", "apg_tol", "rho"):
+            value = getattr(self, key)
+            if not (value is None and key == "rho" or value > 0):
+                raise ValueError(f"{key} must be positive")
 
 
 @dataclass(frozen=True)
@@ -347,12 +370,7 @@ def slp_precode(
     budget: float,
     sigma_eta,
     d: int,
-    rho: Optional[float] = None,
-    admm_max_iter: int = 30,
-    apg_max_iter: int = 50,
-    ftol: float = 1e-3,
-    xtol: float = 1e-3,
-    apg_tol: float = 1e-6,
+    settings: SlpSettings = SlpSettings(),
     start: Optional[PrecodeResult] = None,
 ) -> PrecodeResult:
     """Symbol-level precoding by ADMM splitting.
@@ -360,19 +378,19 @@ def slp_precode(
     Starting from the zero-forcing point (beta, Z, X) with zero duals,
     each round projects the X block onto the amplitude ball, solves the
     (beta, Z) subproblem by APG, and takes a dual ascent step with
-    penalty `rho`.  Termination follows the relative objective change
-    `ftol` together with the squared equality residual `xtol`, or
-    `admm_max_iter` rounds.  The returned X is the time-domain image of
-    the final Z projected onto the amplitude ball, so the constraint
-    holds exactly; `diagnostics["converged"]` is 0.0 when the caps were
-    hit with the residual still above tolerance (non-fatal).  `d` sets
-    the constellation, 4 d^2 points with levels up to 2d - 1 per axis.
+    penalty `rho`.  `settings` holds the penalty, the iteration caps and
+    the stopping tolerances (see :class:`SlpSettings`).  The returned X
+    is the time-domain image of the final Z projected onto the amplitude
+    ball, so the constraint holds exactly; `diagnostics["converged"]` is
+    0.0 when the caps were hit with the residual still above tolerance
+    (non-fatal).  `d` sets the constellation, 4 d^2 points with levels
+    up to 2d - 1 per axis.
 
     The solve builds one :class:`_SlpObjective` and evaluates each point
     once: a round's APG starts from the previous round's returned iterate
     (the ZF point in round 1) with the evaluation already made there.
 
-    When `rho` is None it defaults to ``max(100, K*m_s/5)``: the penalty
+    When `settings.rho` is None the penalty is ``max(100, K*m_s/5)``: it
     has to track the objective's scale (a sum over K*m_s subcarrier
     detection terms) for the dual updates to equilibrate within the
     round budget, and it must not fall below the level at which the
@@ -386,8 +404,7 @@ def slp_precode(
     sigma_eta = np.asarray(sigma_eta, dtype=float)
     if np.any(sigma_eta <= 0):
         raise ValueError("sigma_eta must be positive for every user")
-    if apg_max_iter < 1:
-        raise ValueError("apg_max_iter must be >= 1")
+    rho = settings.rho
     if rho is None:
         rho = max(100.0, 0.2 * symbols.shape[0] * chan.ofdm.m_s)
 
@@ -409,14 +426,14 @@ def slp_precode(
     resid2 = math.inf
     z_time = idft_modulate(chan.ofdm, z).x     # Z F_s^T
 
-    for _ in range(admm_max_iter):
+    for _ in range(settings.admm_max_iter):
         rounds += 1
         lam_rho = lam * (1.0 / rho)     # lam / rho, as numpy's complex division forms it
         x_block = _project_in_place(z_time - lam_rho, budget)
         w_target = np.add(x_block, lam_rho, out=lam_rho)
         beta, z, gamma, n_apg, evaluation = _apg_solve(
             obj, chan.ofdm, beta, z, evaluation, w_target, rho,
-            apg_max_iter, apg_tol, gamma,
+            settings.apg_max_iter, settings.apg_tol, gamma,
         )
         f_cur = evaluation[0]
         apg_total += n_apg
@@ -425,7 +442,8 @@ def slp_precode(
         resid2 = float(np.linalg.norm(resid) ** 2)
         lam += np.multiply(resid, rho, out=resid)
         f_best = min(f_best, f_cur)
-        if abs(f_cur - f_prev) <= ftol * abs(f_prev) and resid2 <= xtol:
+        if (abs(f_cur - f_prev) <= settings.ftol * abs(f_prev)
+                and resid2 <= settings.xtol):
             converged = True
             break
         f_prev = f_cur

@@ -130,7 +130,7 @@ def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     x = _check_frame(x, cfg)
     n_antennas = x.shape[0]
     first_tail = n_antennas - cfg.n_tail
-    linear = PaModel.ideal(cfg.pa.gain, cfg.pa.r_max)
+    linear = cfg.pa.linear
     u = np.empty_like(x)
     q = np.empty_like(x)
     b = np.empty_like(x)

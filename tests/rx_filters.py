@@ -1,7 +1,6 @@
 """Receive-filter references for the tests: an identity filter for chain
 checks, and the worst-case analytic bound on the received distortion
-amplitude, ``psi_hat = A psi * integral |Omega|`` (runs use the
-calibrated estimate :func:`sdmimo.channel.psi_hat_calibrated`)."""
+amplitude, ``psi_hat = A psi * integral |Omega|``."""
 
 from dataclasses import dataclass
 from typing import Tuple

@@ -7,7 +7,13 @@ import math
 
 import numpy as np
 
-from sdmimo.channel import RrcFilter, UlaGeometry, distortion_noise_power, draw_channel
+from sdmimo.channel import (
+    RrcFilter,
+    UlaGeometry,
+    distortion_noise_power,
+    draw_channel,
+    hold_rx_power_factor,
+)
 from sdmimo.config import config_from_dict
 from sdmimo.harness import run_ber, run_scatter, run_shaping_spectrum, substream
 from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft
@@ -215,8 +221,11 @@ def _solver_instance(trial, n=16, k=4, m=64, m_s=40):
     chan = draw_channel(rng, geom, ofdm, k, 4, 20, rx_filter=RrcFilter(),
                         pa_gain=16.0)
     s = QamConstellation(2).random_symbols(rng, (k, m_s))
+    # the worst-case received amplitude bound psi_hat, planned as the
+    # per-antenna second moment whose received power is psi_hat^2 / 3
     psi_hat = psi_hat_bound(16.0, RAPP_BUDGET.psi, RrcFilter(), 7)
-    sigma_eta = np.sqrt(distortion_noise_power(chan, psi_hat, "tsd1") + 1e-3)
+    m2 = psi_hat**2 / 3 / (16.0**2 * hold_rx_power_factor(RrcFilter(), 7))
+    sigma_eta = np.sqrt(distortion_noise_power(chan, m2, "tsd1") + 1e-3)
     return chan, s, sigma_eta
 
 

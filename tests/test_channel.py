@@ -16,6 +16,7 @@ from sdmimo.channel import (
     distortion_noise_power,
     draw_channel,
     propagate,
+    pulse_filter_taps,
     rrc_impulse,
     steering_vector,
 )
@@ -306,15 +307,22 @@ def test_psi_hat_quadrature():
     assert psi_hat_bound(16.0, 0.03, RrcFilter(), 7) == pytest.approx(16.0 * 0.03 * val)
 
 
+def _held_distortion_power(chan, q_second_moment):
+    # A^2 E|q|^2 integral (Pi (*) Omega)^2, from the sampled pulse-filter taps
+    po, _ = pulse_filter_taps(chan.rx_filter, chan.ofdm.osf)
+    return chan.pa_gain**2 * q_second_moment * float(np.sum(po**2)) / chan.ofdm.osf
+
+
 def test_distortion_noise_power_reference():
     # independent re-implementation of the per-user closed form
     geom = UlaGeometry(n=64, d_over_lambda=0.125)
     ofdm = OfdmParams(m=64, m_s=40, m_cp=40, osf=7)
     rng = np.random.default_rng(11)
     chan = draw_channel(rng, geom, ofdm, 3, 4, 20, pa_gain=16.0)
-    psi_hat = 0.85
+    m2 = 8e-4
+    base = _held_distortion_power(chan, m2)
     for scheme in ("sd1", "tsd1", "sd2", "tsd2"):
-        got = distortion_noise_power(chan, psi_hat, scheme)
+        got = distortion_noise_power(chan, m2, scheme)
         for i in range(3):
             acc_shaped = acc_tail = acc_edge2 = 0.0
             for j in range(4):
@@ -322,11 +330,11 @@ def test_distortion_noise_power_reference():
                 w = 2 * np.pi * 0.125 * np.sin(chan.theta[i, j])
                 s2 = np.sin(w / 2.0) ** 2
                 if scheme in ("sd1", "tsd1"):
-                    acc_shaped += 4 * 63 * psi_hat**2 / 3 * a2 * s2
+                    acc_shaped += 4 * 63 * base * a2 * s2
                 else:
-                    acc_shaped += 16 * 62 * psi_hat**2 / 3 * a2 * s2 * s2
-                acc_tail += psi_hat**2 / 3 * a2
-                acc_edge2 += psi_hat**2 / 3 * a2 * (abs(1 - 2 * np.exp(-1j * w)) ** 2 + 1)
+                    acc_shaped += 16 * 62 * base * a2 * s2 * s2
+                acc_tail += base * a2
+                acc_edge2 += base * a2 * (abs(1 - 2 * np.exp(-1j * w)) ** 2 + 1)
             if scheme == "sd1":
                 expected = acc_shaped + acc_tail
             elif scheme == "tsd1":
@@ -343,7 +351,9 @@ def test_distortion_noise_power_broadside_cases():
     ofdm = OfdmParams(m=16, m_s=10, m_cp=40, osf=7)
     chan = channel_from_paths(geom, ofdm, [[1.0]], [[0.0]], [[5.0]], 20,
                               RrcFilter(), 16.0)
-    psi_hat = 0.5
-    assert distortion_noise_power(chan, psi_hat, "tsd1")[0] == 0.0
-    assert distortion_noise_power(chan, psi_hat, "sd1")[0] == pytest.approx(psi_hat**2 / 3)
-    assert distortion_noise_power(chan, psi_hat, "none")[0] == 0.0
+    m2 = 1e-3
+    assert distortion_noise_power(chan, m2, "tsd1")[0] == 0.0
+    assert distortion_noise_power(chan, m2, "sd1")[0] == pytest.approx(
+        _held_distortion_power(chan, m2))
+    with pytest.raises(ValueError):
+        distortion_noise_power(chan, m2, "none")

@@ -10,7 +10,6 @@ from sdmimo.config import PRECODER_NAMES, config_from_dict
 from sdmimo.errors import ConfigError, RankDeficient
 from sdmimo.harness import (
     build_context,
-    resolve_chain,
     run_ber,
     run_scatter,
     run_shaping_spectrum,
@@ -34,18 +33,22 @@ def _tiny_doc(precoder="zf-ref", scheme="auto", **run_kw):
     }
 
 
-def test_resolve_chain_defaults():
-    spec = resolve_chain("zf-tsd")
+def _chain(precoder, scheme="auto"):
+    return build_context(config_from_dict(_tiny_doc(precoder, scheme))).chain
+
+
+def test_chain_defaults():
+    spec = _chain("zf-tsd")
     assert (spec.family, spec.budget_kind, spec.scheme) == ("zf", "headroom", "tsd1")
-    spec = resolve_chain("zf-bo")
+    spec = _chain("zf-bo")
     assert (spec.budget_kind, spec.scheme, spec.pa_mode) == ("backoff", "none", "except_last")
-    spec = resolve_chain("slp-ref")
+    spec = _chain("slp-ref")
     assert (spec.family, spec.pa_mode) == ("slp", "ideal")
     # scheme override turns the sigma-delta ZF chain into plain distorting ZF
-    spec = resolve_chain("zf-sd", "none")
+    spec = _chain("zf-sd", "none")
     assert (spec.scheme, spec.pa_mode) == ("none", "all")
     with pytest.raises(ConfigError):
-        resolve_chain("zf-dirty")
+        _chain("zf-dirty")
 
 
 def test_second_order_scheme_shrinks_budget():
@@ -225,7 +228,7 @@ def _per_point_zf_counts(ctx, trial):
     bits = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        result = hz._precode(ctx, chan, symbols, sigma_v2=0.0)
+        result = hz._designs(ctx, chan, symbols, (0.0,))[0]
         u, _ = hz._transmit(ctx, result.x)
         y0 = propagate(chan, u)
         for si, sv2 in enumerate(cfg.sigma_v2):
@@ -328,9 +331,9 @@ def test_failed_trials_are_excluded_with_warning(monkeypatch):
 
 @pytest.mark.parametrize("name", PRECODER_NAMES)
 def test_every_selector_runs(name):
-    assert resolve_chain(name).family == name.split("-")[0]
-    (rec,) = run_ber(config_from_dict({**_tiny_doc(name, trials=1),
-                                       "noise": {"sigma_v2": [1e-3]}}))
+    cfg = config_from_dict({**_tiny_doc(name, trials=1), "noise": {"sigma_v2": [1e-3]}})
+    assert build_context(cfg).chain.family == name.split("-")[0]
+    (rec,) = run_ber(cfg)
     assert np.isfinite(rec.ber) and np.isfinite(rec.mean_beta)
     assert rec.precoder == name and rec.failed_trials == 0
 
@@ -358,7 +361,7 @@ def test_zf_block_with_ideal_pas_is_received_exactly(n, k_frac, seed):
     chan = hz._draw_trial_channel(ctx, rng, int(math.ceil(sys_.delay_max_ts + sys_.rrc_span_ts)) + 2)
     symbols = ctx.const.random_symbols(rng, (k, sys_.m_s))
     try:
-        design = hz._precode(ctx, chan, symbols, 0.0)
+        design = hz._designs(ctx, chan, symbols, (0.0,))[0]
     except RankDeficient:
         event("rank-deficient channel skipped")
         assume(False)

@@ -17,6 +17,7 @@ from sdmimo.channel import (
 from sdmimo.errors import RankDeficient
 from sdmimo.ofdm import OfdmParams, idft_modulate
 from sdmimo.precoding import (
+    SlpSettings,
     project_amplitude,
     slp_objective,
     slp_objective_and_grad,
@@ -435,7 +436,7 @@ def test_slp_reported_objective_is_that_of_returned_iterate(seed, caps):
     # the objective comes from the solver's last accepted line search, not
     # from a fresh evaluation; it must still equal one exactly
     _, chan, s, sigma = _slp_setup(seed, n=16, k=4, m=64, m_s=40)
-    res = slp_precode(chan, s, 0.0861, sigma, d=2, **caps)
+    res = slp_precode(chan, s, 0.0861, sigma, d=2, settings=SlpSettings(**caps))
     assert res.diagnostics["objective"] == slp_objective(res.beta, res.z, chan, s, sigma, d=2)
 
 
@@ -454,7 +455,17 @@ def test_slp_given_start_point_changes_nothing():
 def test_slp_rejects_empty_inner_loop():
     _, chan, s, sigma = _slp_setup(26)
     with pytest.raises(ValueError, match="apg_max_iter"):
-        slp_precode(chan, s, 0.0861, sigma, d=2, apg_max_iter=0)
+        slp_precode(chan, s, 0.0861, sigma, d=2, settings=SlpSettings(apg_max_iter=0))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("admm_max_iter", 0), ("apg_max_iter", -3), ("ftol", 0.0), ("xtol", -1e-3),
+    ("apg_tol", float("nan")), ("rho", 0.0),
+])
+def test_slp_settings_reject_out_of_range_values(key, value):
+    # the settings check themselves, whoever builds them; the error names the key
+    with pytest.raises(ValueError, match=key):
+        SlpSettings(**{key: value})
 
 
 _DECISIONS = json.loads((Path(__file__).resolve().parent / "slp_decisions.json").read_text())
@@ -486,6 +497,41 @@ def test_slp_decisions_match_recorded_solves(monkeypatch, want):
         assert got[key] == want[key], key
     for key in ("objective", "best_objective", "residual_sq"):
         assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
+
+
+def test_parity_script_passes_one_tree_and_fails_a_doctored_record(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the same tree twice, at the golden runs' scale, reads identical; a
+    # record with one more APG step in one solve, or one more error at one
+    # noise point, exits 1
+    import slp_parity
+
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        "system": {"n": 4, "k": 2, "m": 64, "m_s": 40, "qam_d": 2},
+        "noise": {"inv_sigma_v2_db": [10.0, 20.0, 30.0]},
+        "run": {"trials": 2, "blocks_per_trial": 1, "seed": 99}}))
+    src = Path(precoding.__file__).resolve().parents[1]
+    records = []
+    real = slp_parity.record_tree
+
+    def kept(*args):
+        records.append(real(*args))
+        return records[-1]
+
+    monkeypatch.setattr(slp_parity, "record_tree", kept)
+    assert slp_parity.main([str(src), str(src), "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "solves: 6 parent, 6 change" in out
+    assert "objective: largest relative difference 0 (0 of 6 solves differ)" in out
+
+    for where, key in (("solves", "apg_iterations"), ("points", "errors")):
+        doctored = json.loads(json.dumps(records[0]))
+        doctored[where][1][key] += 1
+        monkeypatch.setattr(slp_parity, "record_tree",
+                            lambda src, *args: doctored if src.name == "b" else records[0])
+        assert slp_parity.main(["a", "b"]) == 1
+        assert "DIFFER" in capsys.readouterr().out
 
 
 def test_slp_objective_point_holds_the_margins_of_its_levels():
