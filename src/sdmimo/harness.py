@@ -192,15 +192,14 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
 
 @dataclass
 class _TrialTally:
-    """One trial's counts; the per-SNR arrays have one entry per noise point."""
+    """One trial's tallies, each with one entry per noise point."""
 
     errors: np.ndarray
+    beta_sum: np.ndarray
+    overloads: np.ndarray
     solves: np.ndarray
     solver_converged: np.ndarray
     solver_admm_iters: np.ndarray
-    beta_sum: float = 0.0
-    beta_count: int = 0
-    overloads: int = 0
 
 
 def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
@@ -209,6 +208,8 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
     chan = _draw_trial_channel(ctx, rng)
     n_snr = len(cfg.sigma_v2)
     tally = _TrialTally(errors=np.zeros(n_snr, dtype=np.int64),
+                        beta_sum=np.zeros(n_snr),
+                        overloads=np.zeros(n_snr, dtype=np.int64),
                         solves=np.zeros(n_snr, dtype=np.int64),
                         solver_converged=np.zeros(n_snr, dtype=np.int64),
                         solver_admm_iters=np.zeros(n_snr))
@@ -216,19 +217,19 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         designs = _designs(ctx, chan, symbols, cfg.sigma_v2)
-        frames = []
+        frames, overloads = [], []
         for si, design in enumerate(designs):
             u, n_over = _transmit(ctx, design.x)
             frames.append(propagate(chan, u))
-            tally.beta_sum += float(design.beta.mean())
-            tally.beta_count += 1
-            tally.overloads += n_over
+            overloads.append(n_over)
             if "converged" in design.diagnostics:    # a symbol-level solve for point si
                 tally.solves[si] += 1
                 tally.solver_converged[si] += int(design.diagnostics["converged"])
                 tally.solver_admm_iters[si] += design.diagnostics["admm_iterations"]
         if len(designs) < n_snr:                     # one design serves the whole grid
-            designs, frames = designs * n_snr, frames * n_snr
+            designs, frames, overloads = designs * n_snr, frames * n_snr, overloads * n_snr
+        tally.beta_sum += [float(design.beta.mean()) for design in designs]
+        tally.overloads += overloads
         # one noisy copy per noise point, drawn in grid order, then one DFT,
         # one detection and one bit tally for the whole stack
         y = np.stack([add_noise(y0, sv2, rng) for y0, sv2 in zip(frames, cfg.sigma_v2)])
@@ -240,14 +241,15 @@ def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
 
 @dataclass
 class MetricRecord:
-    """One BER point: scheme/precoder labels, noise level, and tallies.
+    """One BER point: scheme/precoder labels, noise level, and tallies of
+    the designs used at this point (a zero-forcing design serves them all).
 
-    `overloads` counts symbol-rate modulator input samples (over all
-    trials and blocks) whose amplitude exceeds the no-overloading bound.
-    The solver columns summarize the symbol-level solves at this noise
-    point only (NaN for zero-forcing).  `failed_trials` is the number of
-    trials of the whole run that raised and were excluded from every
-    tally (the same on every record of a run).
+    `mean_beta` averages the designs' mean beta over trials and blocks.
+    `overloads` counts their symbol-rate modulator input samples whose
+    amplitude exceeds the no-overloading bound.  The solver columns
+    summarize the symbol-level solves (NaN for zero-forcing).
+    `failed_trials` is the number of trials of the whole run that raised
+    and were excluded from every tally (the same on every record).
     """
 
     scheme: str
@@ -346,7 +348,6 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     records = []
     for si, sv2 in enumerate(cfg.sigma_v2):
         errors = int(sum(t.errors[si] for t in good))
-        beta_count = sum(t.beta_count for t in good)
         solves = int(sum(t.solves[si] for t in good))
         records.append(MetricRecord(
             scheme=ctx.chain.scheme,
@@ -356,8 +357,8 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
             ber=errors / bits if bits else math.nan,
             bits=bits,
             errors=errors,
-            mean_beta=sum(t.beta_sum for t in good) / beta_count if beta_count else math.nan,
-            overloads=int(sum(t.overloads for t in good)),
+            mean_beta=sum(t.beta_sum[si] for t in good) / (len(good) * cfg.run.blocks_per_trial),
+            overloads=int(sum(t.overloads[si] for t in good)),
             solver_converged_frac=(int(sum(t.solver_converged[si] for t in good)) / solves
                                    if solves else math.nan),
             solver_mean_admm_iters=(float(sum(t.solver_admm_iters[si] for t in good)) / solves

@@ -150,7 +150,9 @@ def test_slp_solver_stats_are_per_snr():
         (alone,) = run_ber(config_from_dict(doc))
         assert rec.solver_converged_frac == alone.solver_converged_frac
         assert rec.solver_mean_admm_iters == alone.solver_mean_admm_iters
+        assert (rec.mean_beta, rec.overloads) == (alone.mean_beta, alone.overloads)
     assert both[0].solver_mean_admm_iters != both[1].solver_mean_admm_iters
+    assert both[0].mean_beta != both[1].mean_beta
 
 
 def test_slp_start_is_shared_by_every_noise_point(monkeypatch):
