@@ -37,7 +37,7 @@ def _chain(precoder, scheme="auto"):
     return build_context(config_from_dict(_tiny_doc(precoder, scheme))).chain
 
 
-def test_chain_defaults():
+def test_resolve_chain_defaults():
     spec = _chain("zf-tsd")
     assert (spec.family, spec.budget_kind, spec.scheme) == ("zf", "headroom", "tsd1")
     spec = _chain("zf-bo")
