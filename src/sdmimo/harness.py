@@ -46,6 +46,7 @@ sigma_v^2 the per-sample time-domain variance actually injected.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -175,6 +176,17 @@ def _designs(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
             for sv2 in grid]
 
 
+def _check_noise_free_designs(ctx: _Context, grid: Sequence[float]) -> None:
+    """Raise :class:`~sdmimo.errors.ConfigError`, before any trial, for a
+    symbol-level design at a noise-free point of `grid` whose chain
+    plans no distortion (no modulator, or ideal PAs): its noise level
+    would be 0."""
+    if (ctx.chain.family == "slp" and 0.0 in grid
+            and (ctx.modulator is None or ctx.cfg.pa.kind == "ideal")):
+        raise ConfigError("a noise-free symbol-level design needs planned distortion: "
+                          "a sigma-delta scheme and a PA kind other than 'ideal'")
+
+
 def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     """Symbol-rate PA-array output for a precoded block, plus the number
     of modulator input samples over the no-overloading bound."""
@@ -190,52 +202,33 @@ def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
     return u, 0
 
 
-@dataclass
-class _TrialTally:
-    """One trial's tallies, each with one entry per noise point."""
-
-    errors: np.ndarray
-    beta_sum: np.ndarray
-    overloads: np.ndarray
-    solves: np.ndarray
-    solver_converged: np.ndarray
-    solver_admm_iters: np.ndarray
-
-
-def _run_trial(ctx: _Context, trial: int) -> _TrialTally:
+def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
+    """One trial's tallies, a ``(5, S)`` array with one column per noise
+    point.  Its rows are bit errors, the designs' summed mean beta,
+    overloads, and the symbol-level solves' ``converged`` flags and ADMM
+    rounds (zero for zero forcing, which makes no solve)."""
     cfg = ctx.cfg
     rng = substream(cfg.run.seed, trial)
     chan = _draw_trial_channel(ctx, rng)
-    n_snr = len(cfg.sigma_v2)
-    tally = _TrialTally(errors=np.zeros(n_snr, dtype=np.int64),
-                        beta_sum=np.zeros(n_snr),
-                        overloads=np.zeros(n_snr, dtype=np.int64),
-                        solves=np.zeros(n_snr, dtype=np.int64),
-                        solver_converged=np.zeros(n_snr, dtype=np.int64),
-                        solver_admm_iters=np.zeros(n_snr))
-
+    tally = np.zeros((5, len(cfg.sigma_v2)))
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         designs = _designs(ctx, chan, symbols, cfg.sigma_v2)
-        frames, overloads = [], []
-        for si, design in enumerate(designs):
-            u, n_over = _transmit(ctx, design.x)
-            frames.append(propagate(chan, u))
-            overloads.append(n_over)
-            if "converged" in design.diagnostics:    # a symbol-level solve for point si
-                tally.solves[si] += 1
-                tally.solver_converged[si] += int(design.diagnostics["converged"])
-                tally.solver_admm_iters[si] += design.diagnostics["admm_iterations"]
-        if len(designs) < n_snr:                     # one design serves the whole grid
-            designs, frames, overloads = designs * n_snr, frames * n_snr, overloads * n_snr
-        tally.beta_sum += [float(design.beta.mean()) for design in designs]
-        tally.overloads += overloads
+        sent = [_transmit(ctx, design.x) for design in designs]
+        # a zero-forcing block has one design for the whole grid, whose
+        # entries add to every column
+        tally[1] += [float(design.beta.mean()) for design in designs]
+        tally[2] += [n_over for _, n_over in sent]
+        if ctx.chain.family == "slp":                # one solve per noise point
+            tally[3] += [design.diagnostics["converged"] for design in designs]
+            tally[4] += [design.diagnostics["admm_iterations"] for design in designs]
         # one noisy copy per noise point, drawn in grid order, then one DFT,
         # one detection and one bit tally for the whole stack
+        frames = itertools.cycle([propagate(chan, u) for u, _ in sent])
         y = np.stack([add_noise(y0, sv2, rng) for y0, sv2 in zip(frames, cfg.sigma_v2)])
         beta = np.stack([design.beta for design in designs])[:, :, None]
         s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta, ctx.const)
-        tally.errors += symbols_to_bits_errors(symbols, s_hat, ctx.const)
+        tally[0] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
     return tally
 
 
@@ -247,7 +240,8 @@ class MetricRecord:
     `mean_beta` averages the designs' mean beta over trials and blocks.
     `overloads` counts their symbol-rate modulator input samples whose
     amplitude exceeds the no-overloading bound.  The solver columns
-    summarize the symbol-level solves (NaN for zero-forcing).
+    average the ``converged`` flags and ADMM rounds of the symbol-level
+    solves, one per block at this point (NaN for zero-forcing).
     `failed_trials` is the number of trials of the whole run that raised
     and were excluded from every tally (the same on every record).
     """
@@ -293,7 +287,7 @@ def self_check_linear_chain(ctx: _Context) -> float:
     return err
 
 
-def _attempt_trial(ctx: _Context, trial: int) -> Tuple[Optional[_TrialTally],
+def _attempt_trial(ctx: _Context, trial: int) -> Tuple[Optional[np.ndarray],
                                                       Optional[Exception]]:
     """One trial's tally, or the exception it raised (per-trial isolation)."""
     try:
@@ -311,12 +305,15 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     path of the module docstring: a zero-forcing block is precoded,
     modulated and propagated once for the whole grid, a symbol-level
     block once per noise point; every noise point then gets its own
-    noise draw, in grid order.  Trials that raise are excluded from the
-    tallies and counted (a warning summarizes them); when every trial
-    raises, the ``RuntimeError`` names the first trial's exception.
+    noise draw, in grid order.  The tally arrays of the trials that do
+    not raise are summed once, in trial order, and form every record.
+    Trials that raise are excluded from the tallies and counted (a
+    warning summarizes them); when every trial raises, the
+    ``RuntimeError`` names the first trial's exception.
     Deterministic for a fixed config and seed, for any worker count.
     """
     ctx = build_context(cfg)
+    _check_noise_free_designs(ctx, cfg.sigma_v2)
     if cfg.run.self_check:
         self_check_linear_chain(ctx)
 
@@ -328,11 +325,9 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
             attempts = list(pool.map(_attempt_trial, [ctx] * len(trials), trials))
     else:
         attempts = [_attempt_trial(ctx, t) for t in trials]
-    good = []
-    for t, (tally, exc) in zip(trials, attempts):
-        if exc is None:
-            good.append(tally)
-        else:
+    good = [tally for tally, exc in attempts if exc is None]
+    for t, (_, exc) in zip(trials, attempts):
+        if exc is not None:
             warnings.warn(f"trial {t} failed and was excluded: {exc}")
     failures = len(trials) - len(good)
     if failures:
@@ -342,30 +337,24 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
         raise RuntimeError(f"all trials failed; trial 0 raised "
                            f"{type(first).__name__}: {first}") from first
 
-    # every noise point of every block carries the same bits
-    bits_per_block = 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s
-    bits = len(good) * cfg.run.blocks_per_trial * bits_per_block
-    records = []
-    for si, sv2 in enumerate(cfg.sigma_v2):
-        errors = int(sum(t.errors[si] for t in good))
-        solves = int(sum(t.solves[si] for t in good))
-        records.append(MetricRecord(
-            scheme=ctx.chain.scheme,
-            precoder=cfg.precoder.name,
-            sigma_v2=sv2,
-            snr_db=math.inf if sv2 == 0 else -10.0 * math.log10(sv2),
-            ber=errors / bits if bits else math.nan,
-            bits=bits,
-            errors=errors,
-            mean_beta=sum(t.beta_sum[si] for t in good) / (len(good) * cfg.run.blocks_per_trial),
-            overloads=int(sum(t.overloads[si] for t in good)),
-            solver_converged_frac=(int(sum(t.solver_converged[si] for t in good)) / solves
-                                   if solves else math.nan),
-            solver_mean_admm_iters=(float(sum(t.solver_admm_iters[si] for t in good)) / solves
-                                    if solves else math.nan),
-            failed_trials=failures,
-        ))
-    return records
+    # every noise point of every block carries the same bits, and an
+    # slp-* block makes one solve per noise point
+    designs = len(good) * cfg.run.blocks_per_trial
+    bits = designs * 2 * ctx.const.bits_per_axis * cfg.system.k * cfg.system.m_s
+    slp = ctx.chain.family == "slp"
+    return [MetricRecord(scheme=ctx.chain.scheme,
+                         precoder=cfg.precoder.name,
+                         sigma_v2=sv2,
+                         snr_db=math.inf if sv2 == 0 else -10.0 * math.log10(sv2),
+                         ber=int(errors) / bits,
+                         bits=bits,
+                         errors=int(errors),
+                         mean_beta=float(beta) / designs,
+                         overloads=int(overloads),
+                         solver_converged_frac=float(converged) / designs if slp else math.nan,
+                         solver_mean_admm_iters=float(admm) / designs if slp else math.nan,
+                         failed_trials=failures)
+            for sv2, (errors, beta, overloads, converged, admm) in zip(cfg.sigma_v2, sum(good).T)]
 
 
 @dataclass
@@ -382,12 +371,14 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
 
     Emits ``r_{i,p} / (M beta_i)`` per user and block at subcarrier
     ``p = cfg.run.scatter_subcarrier``, plus the RMS distance of the
-    cloud from the intended constellation points.
+    cloud from the intended constellation points, for designs made for
+    the first noise point.
     """
     ctx = build_context(cfg)
     p = cfg.run.scatter_subcarrier
     if not (0 <= p < cfg.system.m_s):
         raise ConfigError(f"scatter subcarrier {p} out of range [0, {cfg.system.m_s})")
+    _check_noise_free_designs(ctx, cfg.sigma_v2[:1])
     rng = substream(cfg.run.seed, 0)
     chan = _draw_trial_channel(ctx, rng)
 

@@ -230,13 +230,9 @@ def compute_r1db(model: PaModel) -> float:
     hi = 10.0 * model.r_max
     lo = 1e-12 * model.r_max
     if f(lo) > 0 or f(hi) < 0:
-        # scan for a bracket in case the response is not monotone
-        rs = np.linspace(lo, hi, 4096)
-        signs = np.array([f(r) for r in rs])
-        idx = np.nonzero(np.diff(np.sign(signs)) > 0)[0]
-        if idx.size == 0:
-            raise NoCompressionPoint("no 1 dB compression point in (0, 10*r_max]")
-        lo, hi = rs[idx[0]], rs[idx[0] + 1]
+        # A*r / g_a(r) increases with r for modified Rapp and TWTA, so the
+        # end points bracket the only root when there is one
+        raise NoCompressionPoint("no 1 dB compression point in (0, 10*r_max]")
     while (hi - lo) > 1e-9 * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) < 0:

@@ -402,7 +402,7 @@ def slp_precode(
     """
     symbols = np.asarray(symbols, dtype=complex)
     sigma_eta = np.asarray(sigma_eta, dtype=float)
-    if np.any(sigma_eta <= 0):
+    if not np.all(sigma_eta > 0):
         raise ValueError("sigma_eta must be positive for every user")
     rho = settings.rho
     if rho is None:

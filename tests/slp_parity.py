@@ -11,18 +11,18 @@ experiment of ``--config`` (default ``configs/ber_desk.json``) under the
 ``slp-tsd`` selector, with the given seed and trial count (default: the
 config's), and records the diagnostics of every ``harness.slp_precode``
 call, as ``tests/test_precoding.py::test_slp_decisions_match_recorded_solves``
-does, together with each noise point's ``errors``, ``bits`` and
-``overloads``.
+does, together with every field of each noise point's ``MetricRecord``.
 
 The script prints the largest relative difference of each float
 diagnostic over the solves, and exits 1 when the solve count, any
-solve's iteration counts or ``converged`` flag, or any per-point count
-differs between the trees.
+solve's iteration counts or ``converged`` flag, or any field of any
+noise point's record differs between the trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -34,13 +34,12 @@ DEFAULT_CONFIG = HERE.parent / "configs" / "ber_desk.json"
 
 DECISIONS = ("apg_iterations", "admm_iterations", "converged")
 FLOATS = ("objective", "best_objective", "residual_sq")
-COUNTS = ("errors", "bits", "overloads")
 
 
 def record(config: str, seed: Optional[int], trials: Optional[int]) -> dict:
     """Run the `slp-tsd` experiment of `config` with the importable
     ``sdmimo``; returns every solve's diagnostics, in call order, and each
-    noise point's counts."""
+    noise point's record."""
     from sdmimo import harness
     from sdmimo.config import config_from_dict
 
@@ -66,8 +65,7 @@ def record(config: str, seed: Optional[int], trials: Optional[int]) -> dict:
     finally:
         harness.slp_precode = real
     return {"module": harness.__file__, "solves": solves,
-            "points": [{key: getattr(rec, key) for key in ("snr_db", *COUNTS)}
-                       for rec in records]}
+            "points": [dataclasses.asdict(rec) for rec in records]}
 
 
 def record_tree(src: Path, config: str, seed: Optional[int], trials: Optional[int]) -> dict:
@@ -89,8 +87,8 @@ def _relative(a: float, b: float) -> float:
 
 
 def compare(parent: dict, change: dict) -> Tuple[List[str], bool]:
-    """Report lines for two records, and whether every decision and count
-    agrees."""
+    """Report lines for two records, and whether every decision and every
+    noise point's record agrees."""
     ps, cs = parent["solves"], change["solves"]
     lines = [f"solves: {len(ps)} parent, {len(cs)} change"]
     same = len(ps) == len(cs)
@@ -104,13 +102,13 @@ def compare(parent: dict, change: dict) -> Tuple[List[str], bool]:
     lines.append(f"decisions ({', '.join(DECISIONS)}): {len(changed)} solves differ"
                  + (f", first at solve {changed[0]}" if changed else ""))
     points = [(p["snr_db"], key, p[key], c[key])
-              for p, c in zip(parent["points"], change["points"]) for key in COUNTS
+              for p, c in zip(parent["points"], change["points"]) for key in p
               if p[key] != c[key]]
     for snr, key, p_val, c_val in points:
         lines.append(f"point {snr:g} dB: {key} {p_val} -> {c_val}")
     same = (same and not changed and not points
             and len(parent["points"]) == len(change["points"]))
-    lines.append("decisions and counts identical" if same else "DECISIONS OR COUNTS DIFFER")
+    lines.append("decisions and records identical" if same else "DECISIONS OR RECORDS DIFFER")
     return lines, same
 
 

@@ -201,6 +201,40 @@ def test_invalid_values_exit_3(tiny_config, tmp_path, capsys, argv_extra, edit):
     assert not (tmp_path / "out").exists()
 
 
+_NO_PLANNED_DISTORTION = {
+    "slp-ref": {"precoder": {"name": "slp-ref"}},
+    "slp-bo": {"precoder": {"name": "slp-bo"}},
+    "slp-tsd-ideal": {"precoder": {"name": "slp-tsd"}, "pa": {"kind": "ideal"}},
+    "slp-tsd-ideal-chi": {"precoder": {"name": "slp-tsd"}, "pa": {"kind": "ideal"},
+                          "chi": 0.2},
+}
+
+
+@pytest.mark.parametrize("case", _NO_PLANNED_DISTORTION)
+@pytest.mark.parametrize("command", ["ber", "scatter"])
+def test_noise_free_slp_without_planned_distortion_exits_3(tiny_config, tmp_path, capsys,
+                                                           command, case):
+    # with no modulator, or an ideal PA, a symbol-level design plans no
+    # distortion, and at sigma_v2 = 0 its noise level would be 0
+    doc = {**json.loads(tiny_config.read_text()), **_NO_PLANNED_DISTORTION[case],
+           "noise": {"sigma_v2": [1e-3, 0.0] if command == "ber" else [0.0]}}
+    cfg = tmp_path / "noise_free.json"
+    cfg.write_text(json.dumps(doc))
+    assert cmd_dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "noise-free" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["ber", "scatter"])
+def test_noise_free_slp_with_planned_distortion_runs(tiny_config, tmp_path, command):
+    # slp-tsd through modified Rapp PAs plans the shaped distortion power
+    doc = {**json.loads(tiny_config.read_text()), "precoder": {"name": "slp-tsd"},
+           "noise": {"sigma_v2": [0.0]}}
+    cfg = tmp_path / "noise_free.json"
+    cfg.write_text(json.dumps(doc))
+    assert cmd_dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_value_of_the_wrong_type_exits_3(tiny_config, tmp_path, capsys):
     # a fractional trial count is a config error, not a runtime failure
     doc = json.loads(tiny_config.read_text())

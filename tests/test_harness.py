@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -314,9 +315,10 @@ def test_shaping_spectrum_requires_sd_scheme():
 
 
 def test_failed_trials_are_excluded_with_warning(monkeypatch):
+    # a run whose trial 1 of 3 raises reports, in every column but
+    # failed_trials, what a 2-trial run of its trials 0 and 2 reports
     import sdmimo.harness as hz
 
-    cfg = config_from_dict(_tiny_doc("zf-ref", trials=3))
     real = hz._run_trial
 
     def flaky(ctx, trial):
@@ -324,11 +326,20 @@ def test_failed_trials_are_excluded_with_warning(monkeypatch):
             raise RuntimeError("synthetic failure")
         return real(ctx, trial)
 
-    monkeypatch.setattr(hz, "_run_trial", flaky)
-    with pytest.warns(UserWarning, match="failed"):
-        records = run_ber(cfg)
-    assert records[0].bits > 0
-    assert [r.failed_trials for r in records] == [1, 1]
+    def skipping(ctx, trial):
+        return real(ctx, 2 if trial == 1 else trial)
+
+    for name in ("zf-tsd", "slp-tsd"):
+        doc = _tiny_doc(name, trials=3)
+        monkeypatch.setattr(hz, "_run_trial", flaky)
+        with pytest.warns(UserWarning, match="failed"):
+            records = run_ber(config_from_dict(doc))
+        assert records[0].bits > 0
+        assert [r.failed_trials for r in records] == [1, 1]
+        doc["run"]["trials"] = 2
+        monkeypatch.setattr(hz, "_run_trial", skipping)
+        kept = run_ber(config_from_dict(doc))
+        assert [dataclasses.replace(r, failed_trials=0) for r in records] == kept, name
 
 
 @pytest.mark.parametrize("name", PRECODER_NAMES)

@@ -152,6 +152,14 @@ def test_r1db_ideal_raises(ideal_pa):
         compute_r1db(ideal_pa)
 
 
+def test_r1db_beyond_search_interval_raises(rapp_pa):
+    # with phi = 0.01 the output is already over 1 dB below linear gain at
+    # the interval's lower end, 1e-12*r_max, and A*r / g_a(r) grows with r,
+    # so the search interval holds no root
+    with pytest.raises(NoCompressionPoint):
+        compute_r1db(dataclasses.replace(rapp_pa, phi=0.01))
+
+
 def test_budget_from_pa(rapp_pa):
     budget = ShapingBudget.from_pa(rapp_pa, rapp_pa.r_max)
     assert budget.psi == pytest.approx(RAPP_PSI_AT_RMAX, abs=1e-6)

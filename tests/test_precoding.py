@@ -458,6 +458,13 @@ def test_slp_rejects_empty_inner_loop():
         slp_precode(chan, s, 0.0861, sigma, d=2, settings=SlpSettings(apg_max_iter=0))
 
 
+def test_slp_rejects_nan_noise_level():
+    # a NaN passes a `<= 0` test; the solve would run every cap to a NaN beta
+    _, chan, s, _ = _slp_setup(27)
+    with pytest.raises(ValueError, match="sigma_eta"):
+        slp_precode(chan, s, 0.0861, [np.nan, 0.01], d=2)
+
+
 @pytest.mark.parametrize("key,value", [
     ("admm_max_iter", 0), ("apg_max_iter", -3), ("ftol", 0.0), ("xtol", -1e-3),
     ("apg_tol", float("nan")), ("rho", 0.0),
@@ -502,8 +509,8 @@ def test_slp_decisions_match_recorded_solves(monkeypatch, want):
 def test_parity_script_passes_one_tree_and_fails_a_doctored_record(tmp_path, monkeypatch,
                                                                     capsys):
     # the same tree twice, at the golden runs' scale, reads identical; a
-    # record with one more APG step in one solve, or one more error at one
-    # noise point, exits 1
+    # record with one more APG step in one solve, or one more error or a
+    # larger mean beta at one noise point, exits 1
     import slp_parity
 
     config = tmp_path / "tiny.json"
@@ -525,7 +532,8 @@ def test_parity_script_passes_one_tree_and_fails_a_doctored_record(tmp_path, mon
     assert "solves: 6 parent, 6 change" in out
     assert "objective: largest relative difference 0 (0 of 6 solves differ)" in out
 
-    for where, key in (("solves", "apg_iterations"), ("points", "errors")):
+    for where, key in (("solves", "apg_iterations"), ("points", "errors"),
+                       ("points", "mean_beta")):
         doctored = json.loads(json.dumps(records[0]))
         doctored[where][1][key] += 1
         monkeypatch.setattr(slp_parity, "record_tree",
