@@ -255,8 +255,10 @@ class ChannelRealization:
     multiples of the quadrature step 1/osf.  `taps` is (K, L, N) and
     `freq` is (m_s, K, N) with
     ``freq[p] = sum_l taps[:, l, :] e^{-2j pi l p / M}``.
-    `prop_taps` (K, L_prop, N) are the gain-free full-support taps that
-    :func:`propagate` applies; entry l holds lag ``prop_lag0 + l``.
+    `prop_taps` (L_prop, K, N) are the gain-free full-support taps that
+    :func:`propagate` applies, lag-major and C-contiguous: ``prop_taps[l]``
+    holds lag ``prop_lag0 + l``, so the rows of one lag are one contiguous
+    block of the single product that :func:`propagate` forms.
     The ZF factorization of `freq` (:attr:`gram`) is computed on first
     use and cached.
     """
@@ -325,7 +327,7 @@ def channel_from_paths(
     steer = steering_vector(geom, theta)                             # (K, J, N)
     table = np.einsum("kjl,kjn->kln", alpha[:, :, None] * weight, steer)
     taps = pa_gain * table[:, -lag0:l_taps - lag0]
-    prop_taps = table[:, lag_min - lag0:lag_max - lag0 + 1]
+    prop_taps = np.ascontiguousarray(table[:, lag_min - lag0:lag_max - lag0 + 1].transpose(1, 0, 2))
 
     # freq[p] = sum_l taps[:, l] e^{-2j pi l p / M}: one (m_s, l_taps) DFT
     # matrix times the taps, which lands directly in the (m_s, K, N) layout
@@ -369,7 +371,7 @@ def draw_channel(
 def propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
     """Propagate a symbol-rate PA-output frame to the K users, noise-free.
 
-    Applies the full-support FIR ``y_i[m] = sum_l prop_taps[i, l] . u[:, m - l]``
+    Applies the full-support FIR ``y_i[m] = sum_l prop_taps[l, i] . u[:, m - l]``
     (the held frame's delayed, steered superposition after receive
     filtering and symbol-rate sampling, with samples outside the frame
     taken as zero).  Receiver noise is :func:`add_noise`'s job.
@@ -387,15 +389,16 @@ def propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
     if chan.tau_fine.max(initial=0) > ofdm.m_cp * ofdm.osf:
         raise ValueError("path delay exceeds the cyclic-prefix coverage")
 
-    k_users, n_lags, n = chan.prop_taps.shape
-    per_lag = (chan.prop_taps.reshape(k_users * n_lags, n) @ u).reshape(k_users, n_lags, n_samples)
+    # one product for every lag; lag l's rows are the contiguous block per_lag[l]
+    n_lags, k_users, n = chan.prop_taps.shape
+    per_lag = (chan.prop_taps.reshape(n_lags * k_users, n) @ u).reshape(n_lags, k_users, n_samples)
     y = np.zeros((k_users, n_samples), dtype=complex)
     for l in range(n_lags):
         shift = chan.prop_lag0 + l
         if shift >= 0:
-            y[:, shift:] += per_lag[:, l, :max(n_samples - shift, 0)]
+            y[:, shift:] += per_lag[l, :, :max(n_samples - shift, 0)]
         else:
-            y[:, :shift] += per_lag[:, l, -shift:]
+            y[:, :shift] += per_lag[l, :, -shift:]
     return y
 
 

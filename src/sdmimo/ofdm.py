@@ -46,20 +46,24 @@ class OfdmParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Time-domain block: payload samples plus the cyclic-prefix view.
+    """Time-domain block with its cyclic prefix, one C-ordered array.
 
-    `x` has shape (N, m); `with_cp` prepends the last `m_cp` columns, so
+    `with_cp` has shape (N, m_cp + m): column ``i`` holds payload sample
+    ``(i - m_cp) mod m``, so the first `m_cp` columns are the CP (a cyclic
+    repetition of the payload's tail, also when `m_cp` exceeds `m`) and
     sample m and sample m+M agree across the CP boundary by construction.
+    `x` is the (N, m) payload, a view of the last `m` columns: writing
+    into `with_cp` changes both, and a change that keeps the CP a copy of
+    the payload must be applied to the whole block (as an entrywise
+    scaling or projection is).
     """
 
-    x: np.ndarray
+    with_cp: np.ndarray
     m_cp: int
 
     @property
-    def with_cp(self) -> np.ndarray:
-        if self.m_cp == 0:
-            return self.x
-        return np.concatenate([self.x[:, -self.m_cp:], self.x], axis=1)
+    def x(self) -> np.ndarray:
+        return self.with_cp[:, self.m_cp:]
 
 
 def idft_modulate(params: OfdmParams, z) -> TimeGrid:
@@ -67,12 +71,22 @@ def idft_modulate(params: OfdmParams, z) -> TimeGrid:
 
     `z` has shape (N, m_s); subcarriers m_s..M-1 are zero-padded.  The
     transform is computed by FFT without 1/M normalization, matching the
-    unnormalized matrix convention above.
+    unnormalized matrix convention above.  The padded grid is laid into the
+    payload columns of one C-ordered (N, m_cp + m) block, transformed there
+    in place, and the CP columns are copied from the payload cyclically
+    (see :class:`TimeGrid`).
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[1] != params.m_s:
         raise ShapeMismatch(f"expected (N, {params.m_s}) symbol grid, got {z.shape}")
-    return TimeGrid(x=np.fft.ifft(z, n=params.m, axis=1, norm="forward"), m_cp=params.m_cp)
+    m, m_cp = params.m, params.m_cp
+    block = np.empty((z.shape[0], m_cp + m), dtype=complex)
+    x = block[:, m_cp:]
+    x[:, :params.m_s] = z
+    x[:, params.m_s:] = 0.0
+    np.fft.ifft(x, axis=1, norm="forward", out=x)
+    block[:, :m_cp] = x[:, (np.arange(m_cp) - m_cp) % m]
+    return TimeGrid(with_cp=block, m_cp=m_cp)
 
 
 def receiver_dft(params: OfdmParams, y) -> np.ndarray:

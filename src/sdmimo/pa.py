@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ __all__ = [
     "amp_response",
     "phase_response",
     "apply_pa",
+    "apply_pa_into",
+    "pa_work",
     "compute_psi",
     "compute_r1db",
 ]
@@ -103,19 +106,39 @@ class PaModel:
         return cls(kind="twta", gain=gain, r_max=r_max)
 
 
-def _gain_phase(model: PaModel, r: np.ndarray):
+def _gain_phase(model: PaModel, r, out=None):
     """``(g_a(r)/r, g_p(r))`` of a non-ideal PA, the ratio written without
     dividing by r (so it is finite at r = 0).  The one closed form per kind
-    behind :func:`amp_response`, :func:`phase_response` and :func:`apply_pa`."""
+    behind :func:`amp_response`, :func:`phase_response` and :func:`apply_pa`.
+
+    With `out`, a triple of float arrays shaped like `r`, the gain and the
+    phase are written into its first two and returned, and the third (which
+    may be `r` itself) is scratch; without it they are new values.  Powers
+    are taken in place (``**=``), which for a numpy scalar is the scalar
+    power of the plain expression, so every value is the one the plain
+    expressions give, bit for bit, with or without `out`."""
+    gain, phase, scratch = (None, None, None) if out is None else out
     if model.kind == "modified_rapp":
         two_phi = 2.0 * model.phi
-        gain = model.gain / (1.0 + (r / model.r_max) ** two_phi) ** (1.0 / two_phi)
-        r_zeta = r ** model.zeta
-        return gain, model.b * r_zeta / (1.0 + r_zeta * model.c ** -model.zeta)
-    # twta
-    ratio2 = (r / model.r_max) ** 2
-    den = 1.0 + 0.25 * ratio2
-    return model.gain / den, (np.pi / 12.0) * ratio2 / den
+        # A / (1 + (r/r_max)^(2 phi))^(1/(2 phi))
+        g = np.divide(r, model.r_max, out=gain)
+        g **= two_phi
+        g += 1.0
+        g **= 1.0 / two_phi
+        g = np.divide(model.gain, g, out=gain)
+        # b r^zeta / (1 + r^zeta c^-zeta)
+        r_zeta = np.power(r, model.zeta, out=phase)
+        num = np.multiply(model.b, r_zeta, out=scratch)
+        den = np.multiply(r_zeta, model.c ** -model.zeta, out=phase)
+        den += 1.0
+        return g, np.divide(num, den, out=phase)
+    # twta: A / (1 + (r/r_max)^2 / 4) and (pi/12) (r/r_max)^2 / (1 + (r/r_max)^2 / 4)
+    ratio2 = np.divide(r, model.r_max, out=phase)
+    ratio2 **= 2
+    den = np.multiply(0.25, ratio2, out=gain)
+    den += 1.0
+    ph = np.divide(np.multiply(np.pi / 12.0, ratio2, out=phase), den, out=phase)
+    return np.divide(model.gain, den, out=gain), ph
 
 
 def amp_response(model: PaModel, r):
@@ -134,32 +157,59 @@ def phase_response(model: PaModel, r):
     return _gain_phase(model, r)[1]
 
 
+def pa_work(shape) -> Tuple[np.ndarray, ...]:
+    """Work buffers of :func:`apply_pa_into` for inputs of shape `shape`:
+    three float arrays, one complex and one bool array."""
+    return (np.empty(shape), np.empty(shape), np.empty(shape),
+            np.empty(shape, dtype=complex), np.empty(shape, dtype=bool))
+
+
+def apply_pa_into(model: PaModel, z: np.ndarray, out: np.ndarray, work) -> np.ndarray:
+    """The PA kernel: :func:`apply_pa` of the complex array `z`, written into
+    `out` (complex, shaped like `z`, not overlapping it) with the buffers
+    `work` of :func:`pa_work`, and returned.  Raises ``ValueError`` on
+    non-finite inputs.
+
+    Each model kind has this one implementation; its ufuncs run in the
+    order and with the operands of the plain expressions in
+    :func:`apply_pa`'s docstring, so the values do not depend on whether
+    the buffers are fresh or reused.  (No complex product writes over one
+    of its operands: numpy forms such a product by another loop, whose
+    roundings can differ.)
+    """
+    r, f1, f2, rot, mask = work
+    if not np.isfinite(z, out=mask).all():
+        raise ValueError("PA input must be finite")
+    np.abs(z, out=r)
+    if model.kind == "ideal":
+        # exactly linear below saturation (no polar round trip), so the
+        # loop distortion of an in-range linear PA is exactly zero: the
+        # samples over r_max are scaled by r_max/r, the others copied
+        over = np.greater(r, model.r_max, out=mask)
+        f1.fill(1.0)
+        np.divide(model.r_max, r, out=f1, where=over)
+        np.multiply(z, f1, out=rot)
+        np.copyto(rot, z, where=np.logical_not(over, out=over))
+        return np.multiply(model.gain, rot, out=out)
+    gain, phase = _gain_phase(model, r, (f1, f2, r))
+    # z * (gain cos(phase) + j gain sin(phase)), r now scratch
+    np.multiply(gain, np.cos(phase, out=r), out=rot.real)
+    np.multiply(gain, np.sin(phase, out=r), out=rot.imag)
+    return np.multiply(z, rot, out=out)
+
+
 def apply_pa(model: PaModel, z):
     """Apply the PA response to complex baseband samples.
 
     Returns ``g_a(|z|) * exp(1j*(arg(z) + g_p(|z|)))``, computed as
     ``z * (g_a(|z|)/|z|) * exp(1j*g_p(|z|))`` so no angle is taken and a
     zero input maps to a zero output.  Accepts scalars or arrays; raises
-    ``ValueError`` on non-finite inputs.
+    ``ValueError`` on non-finite inputs.  Allocates the output and runs
+    :func:`apply_pa_into`, the kernel that :func:`sdmimo.sigma_delta.modulate`
+    runs on each antenna row.
     """
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("PA input must be finite")
-    r = np.abs(z)
-    if model.kind == "ideal":
-        # exactly linear below saturation (no polar round trip), so the
-        # loop distortion of an in-range linear PA is exactly zero
-        clipped = np.where(r > model.r_max,
-                           z * np.divide(model.r_max, r, out=np.ones_like(r),
-                                         where=r > model.r_max),
-                           z)
-        out = model.gain * clipped
-    else:
-        gain, phase = _gain_phase(model, r)
-        rot = np.empty_like(z)
-        np.multiply(gain, np.cos(phase), out=rot.real)
-        np.multiply(gain, np.sin(phase), out=rot.imag)
-        out = z * rot
+    out = apply_pa_into(model, z, np.empty(z.shape, dtype=complex), pa_work(z.shape))
     if z.ndim == 0:
         return complex(out)
     return out

@@ -81,8 +81,9 @@ class SlpSettings:
 class PrecodeResult:
     """Designed transmit block plus solver diagnostics.
 
-    `z` is the frequency grid (N, m_s), `x` the time block (with CP
-    view), `beta` the per-user scaling factors.  `diagnostics` carries
+    `z` is the frequency grid (N, m_s), `x` the time block with its CP
+    (one C-ordered array, see :class:`~sdmimo.ofdm.TimeGrid`), `beta` the
+    per-user scaling factors.  `diagnostics` carries
     iteration counts, objective values, and the final equality residual
     where applicable.
     """
@@ -112,12 +113,14 @@ def _zf_solutions(chan: ChannelRealization, symbols: np.ndarray) -> np.ndarray:
 
 def _scale_to_max(x_unnorm: np.ndarray, budget: float) -> float:
     """Scale factor making max |x| equal `budget` to within one ulp."""
-    peak = float(np.abs(x_unnorm).max())
+    mag = np.abs(x_unnorm)
+    peak = float(mag.max())
     if peak == 0.0:
         raise ValueError("cannot scale an all-zero block to a positive budget")
     scale = budget / peak
+    scaled = np.empty(x_unnorm.shape, dtype=complex)     # one work buffer for the checks
     for _ in range(4):
-        achieved = float(np.abs(x_unnorm * scale).max())
+        achieved = float(np.abs(np.multiply(x_unnorm, scale, out=scaled), out=mag).max())
         if abs(achieved - budget) <= np.spacing(budget):
             break
         scale *= budget / achieved
@@ -152,16 +155,23 @@ def zf_precode(
         raise ValueError("budget must be positive")
     symbols = np.asarray(symbols, dtype=complex)
     w = _zf_solutions(chan, symbols)
-    x_unnorm = idft_modulate(chan.ofdm, w).x
+    grid = idft_modulate(chan.ofdm, w)
+    x_unnorm = grid.x
     if variant == "total-power":
         n, m = x_unnorm.shape
-        scale = budget * math.sqrt(n * m) / float(np.linalg.norm(x_unnorm))
+        # np.linalg.norm sums in memory order, and the block is C-ordered:
+        # the norm is taken over the transpose, sample by sample (antennas
+        # within a sample), the summation order of the recorded total-power
+        # outputs (tests/golden), so the same seed keeps giving the same bytes
+        norm = float(np.linalg.norm(np.ascontiguousarray(x_unnorm.T)))
+        scale = budget * math.sqrt(n * m) / norm
     else:
-        scale = _scale_to_max(x_unnorm, budget)
-    z = w * scale
-    x = TimeGrid(x=x_unnorm * scale, m_cp=chan.ofdm.m_cp)
-    beta = np.full(chan.n_users, scale)
-    return PrecodeResult(z=z, x=x, beta=beta)
+        # the CP columns repeat payload samples: the whole block has the
+        # payload's peak, and its contiguous rows are checked faster
+        scale = _scale_to_max(grid.with_cp, budget)
+    # scaling every entry keeps the CP columns a copy of the payload
+    np.multiply(grid.with_cp, scale, out=grid.with_cp)
+    return PrecodeResult(z=w * scale, x=grid, beta=np.full(chan.n_users, scale))
 
 
 def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
@@ -424,12 +434,12 @@ def slp_precode(
     converged = False
     f_cur = f_prev
     resid2 = math.inf
-    z_time = idft_modulate(chan.ofdm, z).x     # Z F_s^T
+    z_grid = idft_modulate(chan.ofdm, z)     # Z F_s^T, with its CP
 
     for _ in range(settings.admm_max_iter):
         rounds += 1
         lam_rho = lam * (1.0 / rho)     # lam / rho, as numpy's complex division forms it
-        x_block = _project_in_place(z_time - lam_rho, budget)
+        x_block = _project_in_place(z_grid.x - lam_rho, budget)
         w_target = np.add(x_block, lam_rho, out=lam_rho)
         beta, z, gamma, n_apg, evaluation = _apg_solve(
             obj, chan.ofdm, beta, z, evaluation, w_target, rho,
@@ -437,8 +447,8 @@ def slp_precode(
         )
         f_cur = evaluation[0]
         apg_total += n_apg
-        z_time = idft_modulate(chan.ofdm, z).x
-        resid = np.subtract(x_block, z_time, out=x_block)
+        z_grid = idft_modulate(chan.ofdm, z)
+        resid = np.subtract(x_block, z_grid.x, out=x_block)
         resid2 = float(np.linalg.norm(resid) ** 2)
         lam += np.multiply(resid, rho, out=resid)
         f_best = min(f_best, f_cur)
@@ -448,7 +458,9 @@ def slp_precode(
             break
         f_prev = f_cur
 
-    x_final = _project_in_place(z_time, budget)
+    # the projection is entrywise, so projecting the whole block keeps its
+    # CP columns a copy of the projected payload
+    _project_in_place(z_grid.with_cp, budget)
     diag = {
         "admm_iterations": float(rounds),
         "apg_iterations": float(apg_total),
@@ -457,9 +469,4 @@ def slp_precode(
         "residual_sq": resid2,
         "converged": 1.0 if converged else 0.0,
     }
-    return PrecodeResult(
-        z=z,
-        x=TimeGrid(x=x_final, m_cp=chan.ofdm.m_cp),
-        beta=beta,
-        diagnostics=diag,
-    )
+    return PrecodeResult(z=z, x=z_grid, beta=beta, diagnostics=diag)

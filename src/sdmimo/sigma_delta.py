@@ -32,7 +32,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import ShapeMismatch
-from .pa import PaModel, ShapingBudget, apply_pa
+from .pa import PaModel, ShapingBudget, apply_pa_into, pa_work
 
 __all__ = [
     "ModulatorConfig",
@@ -126,21 +126,30 @@ def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     distortion bounds but not the loop (the PA is total); count them with
     :func:`count_overloads`.  Raises ``ValueError`` at the first antenna
     whose PA input is not finite.
+
+    The outputs are C-ordered whatever the layout of `x`.  Each antenna
+    row runs :func:`~sdmimo.pa.apply_pa_into`, the one PA kernel behind
+    :func:`~sdmimo.pa.apply_pa`, straight into its row of `u`, with work
+    buffers allocated once per frame; the feedback and `q` are formed in
+    place, by the same ufuncs in the same order as the plain expressions.
     """
     x = _check_frame(x, cfg)
-    n_antennas = x.shape[0]
+    n_antennas, n_samples = x.shape
     first_tail = n_antennas - cfg.n_tail
     linear = cfg.pa.linear
-    u = np.empty_like(x)
-    q = np.empty_like(x)
-    b = np.empty_like(x)
+    feedback = _FEEDBACK[cfg.order]
+    u = np.empty(x.shape, dtype=complex)
+    q = np.empty(x.shape, dtype=complex)
+    b = np.empty(x.shape, dtype=complex)
+    term = np.empty(n_samples, dtype=complex)
+    work = pa_work((n_samples,))
     for n in range(n_antennas):
-        b_n = x[n]
-        for k, c in enumerate(_FEEDBACK[cfg.order][:n], start=1):
-            b_n = b_n - c * q[n - k]
-        b[n] = b_n
-        u[n] = apply_pa(linear if n >= first_tail else cfg.pa, b_n)
-        q[n] = u[n] / cfg.pa.gain - b_n
+        b_n = b[n]
+        b_n[...] = x[n]
+        for k, c in enumerate(feedback[:n], start=1):
+            b_n -= np.multiply(c, q[n - k], out=term)
+        apply_pa_into(linear if n >= first_tail else cfg.pa, b_n, u[n], work)
+        np.subtract(np.divide(u[n], cfg.pa.gain, out=q[n]), b_n, out=q[n])
     return u, q, b
 
 

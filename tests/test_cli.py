@@ -76,6 +76,27 @@ def test_ber_writes_outputs_and_manifest(tiny_config, tmp_path, capsys):
     assert tiny_config.read_text()
 
 
+def test_ber_with_cp_longer_than_block(tmp_path, capsys):
+    # a cyclic prefix longer than the IDFT block repeats the block
+    # cyclically, so the frame keeps its m_cp + m samples and the run
+    # completes
+    doc = {
+        "system": {"n": 4, "k": 2, "m": 16, "m_s": 8, "m_cp": 40, "qam_d": 2},
+        "pa": {"kind": "modified_rapp"},
+        "precoder": {"name": "zf-tsd"},
+        "noise": {"inv_sigma_v2_db": [20.0, 26.0]},
+        "run": {"trials": 2, "blocks_per_trial": 1, "seed": 5, "self_check": False},
+    }
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "results"
+    code = cmd_dispatch(["ber", "--config", str(path), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = list(csv.DictReader((out / "ber.csv").open()))
+    assert len(rows) == 2
+    assert all(int(row["failed_trials"]) == 0 for row in rows)
+
+
 @pytest.mark.parametrize("errors,bits,lo,hi", [
     # Wilson score intervals without continuity correction: the first four
     # are the worked examples of R. G. Newcombe, Stat. Med. 17 (1998) 857,

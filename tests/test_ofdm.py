@@ -55,12 +55,24 @@ def test_round_trip_all_sizes(m, m_s):
 
 
 def test_cp_periodicity():
-    params = OfdmParams(m=16, m_s=9, m_cp=5, osf=1)
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
-    x_cp = idft_modulate(params, z).with_cp
-    # sample m and m + M agree for the CP region
-    assert np.array_equal(x_cp[:, :5], x_cp[:, 16:21])
+    # (m, m_s, m_cp): a CP shorter than, as long as, and longer than the block
+    for m, m_s, m_cp in ((16, 9, 5), (16, 9, 0), (16, 9, 16), (16, 8, 40)):
+        params = OfdmParams(m=m, m_s=m_s, m_cp=m_cp, osf=1)
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((2, m_s)) + 1j * rng.standard_normal((2, m_s))
+        grid = idft_modulate(params, z)
+        x_cp = grid.with_cp
+        assert x_cp.shape == (2, m_cp + m)
+        # one C-ordered block, whose payload columns are the payload
+        assert x_cp.flags.c_contiguous
+        assert np.shares_memory(grid.x, x_cp)
+        assert grid.x.tobytes() == np.ascontiguousarray(x_cp[:, m_cp:]).tobytes()
+        # column i is payload sample (i - m_cp) mod m, bit for bit, so
+        # sample m and m + M agree across the CP region
+        cyclic = grid.x[:, (np.arange(m_cp + m) - m_cp) % m]
+        assert x_cp.tobytes() == cyclic.tobytes()
+        if 0 < m_cp <= m:
+            assert x_cp[:, :m_cp].tobytes() == np.ascontiguousarray(grid.x[:, m - m_cp:]).tobytes()
 
 
 def test_sample_hold_identity_at_osf1():

@@ -154,7 +154,8 @@ def test_second_order_tail_removal(rapp_pa):
 
 def test_one_bit_quantizer_stub_bound(monkeypatch):
     # classic one-bit result via a signum stub: |x|<=1 implies |q|<=1
-    monkeypatch.setattr(sigma_delta, "apply_pa", lambda model, z: np.sign(z))
+    monkeypatch.setattr(sigma_delta, "apply_pa_into",
+                        lambda model, z, out, work: np.sign(z, out=out))
     cfg = ModulatorConfig(order=1, tail_removing=False,
                           pa=PaModel.ideal(gain=1.0, r_max=1.0),
                           budget=ShapingBudget(chi=2.0, psi=1.0))
@@ -286,11 +287,16 @@ _PA_MODELS = (
 @given(x=FRAMES)
 def test_loop_matches_per_order_oracle(model, scheme, x):
     # the one error-feedback recurrence reproduces the per-order loops with
-    # their per-antenna PA list bit for bit, overloaded samples included
+    # their per-antenna PA list bit for bit, overloaded samples included,
+    # whatever the frame's memory layout: C-ordered, Fortran-ordered, or a
+    # strided view into a larger frame
     cfg = ModulatorConfig.from_scheme(scheme, model, ShapingBudget.from_pa(model, model.r_max))
-    got = modulate(cfg, x)
-    for a, b in zip(got, modulate_oracle(cfg, x)):
-        assert np.array_equal(a, b)
+    expected = modulate_oracle(cfg, x)
+    wide = np.zeros((2 * x.shape[0], 3 * x.shape[1]), dtype=complex)
+    wide[::2, 1::3] = x
+    for frame in (x, np.asfortranarray(x), wide[::2, 1::3]):
+        for a, b in zip(modulate(cfg, frame), expected):
+            assert np.array_equal(a, b)
 
 
 def test_tail_count_per_scheme(rapp_pa, rapp_budget):
