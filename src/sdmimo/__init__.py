@@ -16,15 +16,9 @@ from .channel import (
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NoCompressionPoint, RankDeficient, ShapeMismatch
 from .harness import run_ber, run_scatter, run_shaping_spectrum
-from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
+from .ofdm import OfdmParams, idft_modulate, receiver_dft
 from .pa import PaModel, ShapingBudget, apply_pa, compute_psi, compute_r1db
-from .precoding import (
-    PrecodeResult,
-    project_amplitude,
-    slp_objective,
-    slp_precode,
-    zf_precode,
-)
+from .precoding import PrecodeResult, slp_precode, zf_precode
 from .qam import QamConstellation, detect
 from .sigma_delta import ModulatorConfig, modulate, shaped_distortion_power
 

@@ -287,6 +287,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("run: trials and blocks_per_trial must be >= 1")
     if cfg.run.spectrum_frames < 1 or cfg.run.spectrum_samples < 1:
         raise ConfigError("run: spectrum_frames and spectrum_samples must be >= 1")
+    if not cfg.run.spectrum_angles_deg:
+        raise ConfigError("run: spectrum_angles_deg must name at least one angle")
     if cfg.run.seed < 0:
         raise ConfigError("run: seed must be >= 0")
     if not (math.isfinite(cfg.chi_value) and cfg.chi_value > 0):

@@ -1,15 +1,16 @@
 """End-to-end Monte Carlo experiments: BER curves, IQ scatter clouds, and
 shaped-distortion angular spectra.
 
-Every experiment runs each OFDM block through one path, with one entry
-point per stage.  :func:`_designs` precodes it: one zero-forcing design
-for the whole noise grid, or one symbol-level solve per noise point from
-one shared zero-forcing start and distortion measurement.
-:func:`_transmit` runs each design once through ``modulate`` and the
-PAs and counts its overloads once; ``propagate`` carries it to the
-users noise-free.  A BER trial adds one ``add_noise`` draw per grid
-point, in grid order, then runs one DFT, detection and bit tally over
-the stack; the scatter run reads the noise-free frame.
+Every experiment runs each OFDM block through one function,
+:func:`_run_block`, with one entry point per stage.  :func:`_designs`
+precodes the block: one zero-forcing design for the whole noise grid, or
+one symbol-level solve per noise point from one shared zero-forcing
+start and distortion measurement.  :func:`_transmit` runs each design
+once through ``modulate`` and the PAs and counts its overloads once;
+``propagate`` carries it to the users noise-free.  A BER trial adds one
+``add_noise`` draw per grid point to those frames, in grid order, then
+runs one DFT, detection and bit tally over the stack; the scatter run
+reads its one noise-free frame.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -35,8 +36,10 @@ runs plain ZF through distorting PAs with no shaping loop.
 :func:`build_context` looks the selector's chain up once per run,
 replaces its scheme when the key is not "auto", and builds the
 modulator, so a scheme whose no-overloading input set is empty for the
-configured PA and chi is a :class:`~sdmimo.errors.ConfigError` before
-any trial, whatever the selector.
+configured PA and chi, or whose tail needs more antennas than the array
+has, is a :class:`~sdmimo.errors.ConfigError` before any trial, whatever
+the selector; so is a back-off budget for a PA with no 1 dB compression
+point.
 
 Scaling note: the unnormalized DFT pair makes the noise-free received
 subcarrier value ``M * h_p^T z_p``, so detection divides by ``M *
@@ -46,7 +49,6 @@ sigma_v^2 the per-sample time-domain variance actually injected.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -65,8 +67,8 @@ from .channel import (
     steering_vector,
 )
 from .config import CHAINS, ChainSpec, ExperimentConfig
-from .errors import ConfigError
-from .ofdm import OfdmParams, TimeGrid, idft_modulate, receiver_dft
+from .errors import ConfigError, NoCompressionPoint
+from .ofdm import OfdmParams, idft_modulate, receiver_dft
 from .pa import ShapingBudget, apply_pa, compute_r1db
 from .precoding import PrecodeResult, slp_precode, zf_precode
 from .qam import QamConstellation, detect, symbols_to_bits_errors
@@ -118,13 +120,20 @@ def build_context(cfg: ExperimentConfig) -> _Context:
             modulator = ModulatorConfig.from_scheme(chain.scheme, cfg.pa, budget)
         except ValueError as exc:
             raise ConfigError(f"scheme {chain.scheme!r} with this PA and chi: {exc}") from exc
+        if sys_.n <= modulator.n_tail:
+            raise ConfigError(f"scheme {chain.scheme!r} needs at least "
+                              f"{modulator.n_tail + 1} antennas, got n = {sys_.n}")
 
     if chain.budget_kind == "headroom":
         bound = budget.headroom if modulator is None else modulator.input_bound
         if bound <= 0:
             raise ConfigError("no-overloading budget is empty for this PA and chi")
     elif chain.budget_kind == "backoff":
-        bound = compute_r1db(cfg.pa)
+        try:
+            bound = compute_r1db(cfg.pa)
+        except NoCompressionPoint as exc:
+            raise ConfigError(f"the back-off budget of {cfg.precoder.name!r} is the PA's "
+                              f"1 dB compression point: {exc}") from exc
     else:  # total power reference amplitude
         bound = cfg.pa.r_max
     return _Context(cfg=cfg, chain=chain, ofdm=ofdm, geom=geom, rx_filter=rx_filter,
@@ -167,7 +176,7 @@ def _designs(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
     zf = zf_precode(chan, symbols, ctx.bound, variant="sigma-delta")
     sigma_xi2 = np.zeros(chan.n_users)
     if ctx.modulator is not None:
-        _, q, _ = modulate(ctx.modulator, zf.x.with_cp)
+        _, q, _ = modulate(ctx.modulator, zf.x)
         shaped = q[:q.shape[0] - ctx.modulator.n_tail]
         # np.mean sums in memory order, and q is C-ordered: the mean is taken
         # over the transpose, sample by sample (antennas within a sample),
@@ -191,19 +200,39 @@ def _check_noise_free_designs(ctx: _Context, grid: Sequence[float]) -> None:
                           "a sigma-delta scheme and a PA kind other than 'ideal'")
 
 
-def _transmit(ctx: _Context, x_grid: TimeGrid) -> Tuple[np.ndarray, int]:
-    """Symbol-rate PA-array output for a precoded block, plus the number
-    of modulator input samples over the no-overloading bound."""
-    x_cp = x_grid.with_cp
+def _transmit(ctx: _Context, x: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Symbol-rate PA-array output for a precoded CP-extended block, plus
+    the number of modulator input samples over the no-overloading bound."""
     pa = ctx.cfg.pa
     if ctx.modulator is not None:
-        return modulate(ctx.modulator, x_cp)[0], count_overloads(ctx.modulator, x_cp)
+        return modulate(ctx.modulator, x)[0], count_overloads(ctx.modulator, x)
     if ctx.chain.pa_mode == "ideal":
-        return apply_pa(pa.linear, x_cp), 0
-    u = apply_pa(pa, x_cp)
+        return apply_pa(pa.linear, x), 0
+    u = apply_pa(pa, x)
     if ctx.chain.pa_mode == "except_last":
-        u[-1] = apply_pa(pa.linear, x_cp[-1])
+        u[-1] = apply_pa(pa.linear, x[-1])
     return u, 0
+
+
+def _run_block(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
+               grid: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """One OFDM block for the noise grid `grid`: its D designs, each sent
+    once and propagated noise-free.  Returns the received frames
+    ``(D, K, m_cp + m)``, the designs' beta ``(D, K)``, their tallies
+    ``(4, D)``: mean beta, overloads, and each solve's ``converged`` flag
+    and ADMM rounds (zero for zero forcing, which makes no solve), and
+    the D PA-array outputs, which callers hold until they are done with
+    the block: freed here, they merge with ``propagate``'s freed product
+    at the heap top, glibc trims it, and the noise draws fault it in
+    again, about 220 or 620 minor faults a ``ber-zf`` step by the heap's
+    layout against about 400 when held (ROADMAP item 10)."""
+    designs = _designs(ctx, chan, symbols, grid)
+    sent = [_transmit(ctx, design.x) for design in designs]
+    tally = [(float(d.beta.mean()), n_over, d.diagnostics.get("converged", 0.0),
+              d.diagnostics.get("admm_iterations", 0.0)) for d, (_, n_over) in zip(designs, sent)]
+    outputs = [u for u, _ in sent]
+    return (np.stack([propagate(chan, u) for u in outputs]),
+            np.stack([d.beta for d in designs]), np.array(tally).T, outputs)
 
 
 def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
@@ -215,23 +244,17 @@ def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
     rng = substream(cfg.run.seed, trial)
     chan = _draw_trial_channel(ctx, rng)
     tally = np.zeros((5, len(cfg.sigma_v2)))
-    for _block in range(cfg.run.blocks_per_trial):
+    for _ in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        designs = _designs(ctx, chan, symbols, cfg.sigma_v2)
-        sent = [_transmit(ctx, design.x) for design in designs]
+        frames, beta, block_tally, _outputs = _run_block(ctx, chan, symbols, cfg.sigma_v2)
         # a zero-forcing block has one design for the whole grid, whose
-        # entries add to every column
-        tally[1] += [float(design.beta.mean()) for design in designs]
-        tally[2] += [n_over for _, n_over in sent]
-        if ctx.chain.family == "slp":                # one solve per noise point
-            tally[3] += [design.diagnostics["converged"] for design in designs]
-            tally[4] += [design.diagnostics["admm_iterations"] for design in designs]
+        # frame and tallies serve every column
+        tally[1:] += block_tally
         # one noisy copy per noise point, drawn in grid order, then one DFT,
         # one detection and one bit tally for the whole stack
-        frames = itertools.cycle([propagate(chan, u) for u, _ in sent])
+        frames = np.broadcast_to(frames, (len(cfg.sigma_v2),) + frames.shape[1:])
         y = np.stack([add_noise(y0, sv2, rng) for y0, sv2 in zip(frames, cfg.sigma_v2)])
-        beta = np.stack([design.beta for design in designs])[:, :, None]
-        s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta, ctx.const)
+        s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta[:, :, None], ctx.const)
         tally[0] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
     return tally
 
@@ -280,8 +303,7 @@ def self_check_linear_chain(ctx: _Context) -> float:
     scale = 0.5 * cfg.pa.r_max / math.sqrt(sys_.n * ctx.ofdm.m)
     z = scale * (rng.standard_normal((sys_.n, ctx.ofdm.m_s))
                  + 1j * rng.standard_normal((sys_.n, ctx.ofdm.m_s)))
-    x_grid = idft_modulate(ctx.ofdm, z)
-    u = cfg.pa.gain * x_grid.with_cp
+    u = cfg.pa.gain * idft_modulate(ctx.ofdm, z)
     y = propagate(chan, u)
     r = receiver_dft(ctx.ofdm, y)
     model = ctx.ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
@@ -391,10 +413,9 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     intended = np.empty((cfg.system.k, n_blocks), dtype=complex)
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        (design,) = _designs(ctx, chan, symbols, cfg.sigma_v2[:1])
-        u, _ = _transmit(ctx, design.x)
-        r = receiver_dft(ctx.ofdm, propagate(chan, u))
-        points[:, blk] = r[:, p] / (ctx.ofdm.m * design.beta)
+        frames, beta, _, _outputs = _run_block(ctx, chan, symbols, cfg.sigma_v2[:1])
+        r = receiver_dft(ctx.ofdm, frames[0])
+        points[:, blk] = r[:, p] / (ctx.ofdm.m * beta[0])
         intended[:, blk] = symbols[:, p]
     rms = float(np.sqrt(np.mean(np.abs(points - intended) ** 2)))
     return ScatterResult(points=points, symbols=intended, rms_deviation=rms)
@@ -419,6 +440,9 @@ def run_shaping_spectrum(cfg: ExperimentConfig) -> List[SpectrumRow]:
     ctx = build_context(cfg)
     if ctx.modulator is None:
         raise ConfigError("shaping spectrum requires a sigma-delta scheme (sd1/tsd1/sd2/tsd2)")
+    if ctx.geom.n <= ctx.modulator.order:
+        raise ConfigError(f"the shaping spectrum of {ctx.chain.scheme!r} needs at least "
+                          f"{ctx.modulator.order + 1} antennas, got n = {ctx.geom.n}")
     angles = cfg.run.spectrum_angles_deg
     bound = ctx.modulator.input_bound
     rng = substream(cfg.run.seed, 1)

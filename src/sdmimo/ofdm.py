@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-__all__ = ["OfdmParams", "TimeGrid", "idft_modulate", "receiver_dft"]
+__all__ = ["OfdmParams", "idft_modulate", "receiver_dft"]
 
 
 @dataclass(frozen=True)
@@ -44,37 +44,20 @@ class OfdmParams:
             raise ValueError("need m_cp >= 0 and osf >= 1")
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Time-domain block with its cyclic prefix, one C-ordered array.
-
-    `with_cp` has shape (N, m_cp + m): column ``i`` holds payload sample
-    ``(i - m_cp) mod m``, so the first `m_cp` columns are the CP (a cyclic
-    repetition of the payload's tail, also when `m_cp` exceeds `m`) and
-    sample m and sample m+M agree across the CP boundary by construction.
-    `x` is the (N, m) payload, a view of the last `m` columns: writing
-    into `with_cp` changes both, and a change that keeps the CP a copy of
-    the payload must be applied to the whole block (as an entrywise
-    scaling or projection is).
-    """
-
-    with_cp: np.ndarray
-    m_cp: int
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.with_cp[:, self.m_cp:]
-
-
-def idft_modulate(params: OfdmParams, z) -> TimeGrid:
-    """Map frequency-domain symbols to time samples, ``x_m = sum_p z_p e^{2j pi mp/M}``.
+def idft_modulate(params: OfdmParams, z) -> np.ndarray:
+    """Map frequency-domain symbols to time samples, ``x_m = sum_p z_p e^{2j pi mp/M}``,
+    and return the block with its cyclic prefix (CP), one C-ordered
+    (N, m_cp + m) array.
 
     `z` has shape (N, m_s); subcarriers m_s..M-1 are zero-padded.  The
     transform is computed by FFT without 1/M normalization, matching the
-    unnormalized matrix convention above.  The padded grid is laid into the
-    payload columns of one C-ordered (N, m_cp + m) block, transformed there
-    in place, and the CP columns are copied from the payload cyclically
-    (see :class:`TimeGrid`).
+    unnormalized matrix convention above, in place in the payload columns.
+    Column ``i`` holds payload sample ``(i - m_cp) mod m``: the (N, m)
+    payload is the view ``[:, m_cp:]``, and the first `m_cp` columns are
+    the CP, a cyclic repetition of the payload's tail (also when `m_cp`
+    exceeds `m`).  Writing into the payload view changes the block, and
+    a change that keeps the CP a copy of the payload must be applied to
+    the whole block (as an entrywise scaling or projection is).
     """
     z = np.asarray(z, dtype=complex)
     if z.ndim != 2 or z.shape[1] != params.m_s:
@@ -86,7 +69,7 @@ def idft_modulate(params: OfdmParams, z) -> TimeGrid:
     x[:, params.m_s:] = 0.0
     np.fft.ifft(x, axis=1, norm="forward", out=x)
     block[:, :m_cp] = x[:, (np.arange(m_cp) - m_cp) % m]
-    return TimeGrid(with_cp=block, m_cp=m_cp)
+    return block
 
 
 def receiver_dft(params: OfdmParams, y) -> np.ndarray:

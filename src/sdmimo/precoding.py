@@ -35,16 +35,13 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .errors import ShapeMismatch
-from .ofdm import TimeGrid, idft_modulate
+from .ofdm import idft_modulate
 from .qam import _level_offsets, _margins, _phi_pdf, dp_components
 
 __all__ = [
     "PrecodeResult",
     "SlpSettings",
     "zf_precode",
-    "project_amplitude",
-    "slp_objective",
-    "slp_objective_and_grad",
     "slp_precode",
 ]
 
@@ -81,15 +78,15 @@ class SlpSettings:
 class PrecodeResult:
     """Designed transmit block plus solver diagnostics.
 
-    `z` is the frequency grid (N, m_s), `x` the time block with its CP
-    (one C-ordered array, see :class:`~sdmimo.ofdm.TimeGrid`), `beta` the
-    per-user scaling factors.  `diagnostics` carries
+    `z` is the frequency grid (N, m_s), `x` the C-ordered (N, m_cp + m)
+    time block with its CP (see :func:`~sdmimo.ofdm.idft_modulate`),
+    `beta` the per-user scaling factors.  `diagnostics` carries
     iteration counts, objective values, and the final equality residual
     where applicable.
     """
 
     z: np.ndarray
-    x: TimeGrid
+    x: np.ndarray
     beta: np.ndarray
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
@@ -155,8 +152,8 @@ def zf_precode(
         raise ValueError("budget must be positive")
     symbols = np.asarray(symbols, dtype=complex)
     w = _zf_solutions(chan, symbols)
-    grid = idft_modulate(chan.ofdm, w)
-    x_unnorm = grid.x
+    x = idft_modulate(chan.ofdm, w)
+    x_unnorm = x[:, chan.ofdm.m_cp:]
     if variant == "total-power":
         n, m = x_unnorm.shape
         # np.linalg.norm sums in memory order, and the block is C-ordered:
@@ -168,14 +165,17 @@ def zf_precode(
     else:
         # the CP columns repeat payload samples: the whole block has the
         # payload's peak, and its contiguous rows are checked faster
-        scale = _scale_to_max(grid.with_cp, budget)
+        scale = _scale_to_max(x, budget)
     # scaling every entry keeps the CP columns a copy of the payload
-    np.multiply(grid.with_cp, scale, out=grid.with_cp)
-    return PrecodeResult(z=w * scale, x=grid, beta=np.full(chan.n_users, scale))
+    np.multiply(x, scale, out=x)
+    return PrecodeResult(z=w * scale, x=x, beta=np.full(chan.n_users, scale))
 
 
 def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
-    """:func:`project_amplitude` of the complex array `x`, written into `x`."""
+    """Entrywise projection of the complex array `x` onto the max-amplitude
+    ball, written into `x`: clip magnitudes, keep phases.  Idempotent; the
+    Euclidean projection onto the feasible set since the constraint is
+    separable per entry."""
     if bound <= 0:
         raise ValueError("bound must be positive")
     mag = np.abs(x)
@@ -183,13 +183,6 @@ def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
     if np.any(over):
         x[over] *= bound / mag[over]
     return x
-
-
-def project_amplitude(x: np.ndarray, bound: float) -> np.ndarray:
-    """Entrywise projection onto the max-amplitude ball: clip magnitudes,
-    keep phases.  Idempotent; the Euclidean projection onto the feasible
-    set since the constraint is separable per entry."""
-    return _project_in_place(np.array(x, dtype=complex), bound)
 
 
 class _SlpObjective:
@@ -250,29 +243,6 @@ class _SlpObjective:
         g_v = g_v.view(complex).T[:, :, None]                   # (m_s, K, 1)
         grad_z = np.ascontiguousarray(np.matmul(self.freq_h, g_v)[:, :, 0].T)
         return grad_beta, grad_z
-
-
-def slp_objective(beta, z, chan: ChannelRealization, symbols, sigma_eta, d: int) -> float:
-    """Negative sum of log detection probabilities over users, subcarriers,
-    and I/Q components of the 4 d^2-point constellation; capped at a large
-    finite value when any DP underflows so that line searches stay finite."""
-    f, _ = _SlpObjective(chan, symbols, sigma_eta, d).value(
-        np.asarray(beta, dtype=float), np.asarray(z, dtype=complex))
-    return f
-
-
-def slp_objective_and_grad(beta, z, chan: ChannelRealization, symbols, sigma_eta, d: int):
-    """Objective F(beta, Z) with gradients, ``(F, grad_beta, grad_Z)``.
-
-    The gradient w.r.t. Z follows the convention
-    ``F(Z + dZ) ~= F(Z) + Re tr(G^H dZ)``, i.e. real and imaginary parts
-    of G are the partial derivatives w.r.t. the real and imaginary parts
-    of Z.  F is the value :func:`slp_objective` gives at the same point.
-    """
-    obj = _SlpObjective(chan, symbols, sigma_eta, d)
-    f, point = obj.value(np.asarray(beta, dtype=float), np.asarray(z, dtype=complex))
-    grad_beta, grad_z = obj.grad(point)
-    return f, grad_beta, grad_z
 
 
 def _time_to_subcarriers(e: np.ndarray, m_s: int) -> np.ndarray:
@@ -439,7 +409,7 @@ def slp_precode(
     for _ in range(settings.admm_max_iter):
         rounds += 1
         lam_rho = lam * (1.0 / rho)     # lam / rho, as numpy's complex division forms it
-        x_block = _project_in_place(z_grid.x - lam_rho, budget)
+        x_block = _project_in_place(z_grid[:, chan.ofdm.m_cp:] - lam_rho, budget)
         w_target = np.add(x_block, lam_rho, out=lam_rho)
         beta, z, gamma, n_apg, evaluation = _apg_solve(
             obj, chan.ofdm, beta, z, evaluation, w_target, rho,
@@ -448,7 +418,7 @@ def slp_precode(
         f_cur = evaluation[0]
         apg_total += n_apg
         z_grid = idft_modulate(chan.ofdm, z)
-        resid = np.subtract(x_block, z_grid.x, out=x_block)
+        resid = np.subtract(x_block, z_grid[:, chan.ofdm.m_cp:], out=x_block)
         resid2 = float(np.linalg.norm(resid) ** 2)
         lam += np.multiply(resid, rho, out=resid)
         f_best = min(f_best, f_cur)
@@ -460,7 +430,7 @@ def slp_precode(
 
     # the projection is entrywise, so projecting the whole block keeps its
     # CP columns a copy of the projected payload
-    _project_in_place(z_grid.with_cp, budget)
+    _project_in_place(z_grid, budget)
     diag = {
         "admm_iterations": float(rounds),
         "apg_iterations": float(apg_total),

@@ -7,12 +7,13 @@ The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 integer with clipping; exact mid-ties round toward zero, and a component
 of exactly zero (a tie between -1 and +1) decides -1.
 
-The probability is computed in two steps: :func:`margins` forms the
+The probability is computed in two steps: :func:`_margins` forms the
 margin-normalized offsets of a level's upper and lower decision
 thresholds, stacked on a leading axis of two, and :func:`dp_components`
 turns the stack into probabilities (and densities for gradients).  The
 symbol-level objective forms the margins from constants it lays out
-once per solve and keeps them for its gradient.
+once per solve (:func:`_level_offsets`) and keeps them for its
+gradient.
 
 Only the symbol-level precoder evaluates the Gaussian CDF, so
 ``scipy.special.ndtr`` is imported inside :func:`dp_components`, the
@@ -32,7 +33,6 @@ __all__ = [
     "QamConstellation",
     "detect",
     "dp_components",
-    "margins",
     "symbols_to_bits_errors",
 ]
 
@@ -124,10 +124,13 @@ def _level_offsets(s, d):
 
 
 def _margins(offsets, bounds, v, beta, sigma_eta):
-    """Stacked margins from :func:`_level_offsets`' output: a new array
-    shaped like `offsets`, formed in place in the order
-    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, with the missing
-    thresholds at +-inf."""
+    """Stacked margins ``t[0] = ta``, ``t[1] = tc``: the margin-normalized
+    offsets ``sqrt(2) (beta (s +- 1) - v) / sigma_eta`` of the upper and
+    lower decision thresholds of levels `s` from received components `v`,
+    with the missing thresholds at +-inf.  `offsets` and `bounds` are
+    :func:`_level_offsets`' output for `s`; the result is a new array
+    shaped like `offsets`, formed in place in that order.
+    :func:`dp_components` takes it."""
     t = offsets * beta
     t -= v
     t *= np.sqrt(2.0)
@@ -137,25 +140,10 @@ def _margins(offsets, bounds, v, beta, sigma_eta):
     return t
 
 
-def margins(s_axis, v_axis, beta, sigma_eta, d):
-    """Margin-normalized offsets of the upper and lower decision thresholds
-    of levels `s_axis` from received components `v_axis`, stacked on a new
-    leading axis: ``t[0] = ta``, ``t[1] = tc`` with
-    ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, and +inf above the top
-    level and -inf below the bottom one.  The arguments broadcast
-    against each other (`beta` and `sigma_eta` are typically per-user
-    columns).  :func:`dp_components` takes the result."""
-    v = np.asarray(v_axis, dtype=float)
-    s = np.broadcast_to(np.asarray(s_axis, dtype=float),
-                        np.broadcast_shapes(np.shape(s_axis), v.shape, np.shape(beta),
-                                            np.shape(sigma_eta)))
-    return _margins(*_level_offsets(s, d), v, beta, sigma_eta)
-
-
 def dp_components(t, need_grad=True):
     """Vectorized per-component DP with the pieces needed for gradients.
 
-    `t` holds the stacked margins of :func:`margins`, ``t[0] = ta`` and
+    `t` holds the stacked margins of :func:`_margins`, ``t[0] = ta`` and
     ``t[1] = tc``.  Returns ``(dp, phi_hi, phi_lo)``, each shaped like
     ``t[0]``, where `phi_hi`/`phi_lo` are the Gaussian densities at the
     upper/lower margins (zero where the corresponding branch has no

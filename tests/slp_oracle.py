@@ -1,5 +1,5 @@
 """Independent reference for the symbol-level objective
-:func:`sdmimo.precoding.slp_objective_and_grad`.
+:func:`slp_functions.slp_objective_and_grad`.
 
 Forms the received values with one `einsum` over the channel, stacks the
 I and Q components into ``(2, K, m_s)`` arrays for one `dp_components`
@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from sdmimo.qam import dp_components, margins
+from sdmimo.qam import dp_components
+from slp_functions import margins
 
 _OBJECTIVE_CAP = 1e12
 _DP_FLOOR = 1e-300

@@ -171,7 +171,7 @@ def test_propagate_matches_tap_model():
     rng = np.random.default_rng(5)
     chan = draw_channel(rng, geom, ofdm, 2, 4, 22, rx_filter=RrcFilter(), pa_gain=16.0)
     z = 0.01 * (rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
-    x_cp = idft_modulate(ofdm, z).with_cp
+    x_cp = idft_modulate(ofdm, z)
     u = 16.0 * x_cp
 
     y_model = np.zeros((2, ofdm.m), dtype=complex)
@@ -230,7 +230,7 @@ def test_full_chain_frequency_consistency():
     rng = np.random.default_rng(6)
     chan = draw_channel(rng, geom, ofdm, 2, 4, 22, rx_filter=RrcFilter(), pa_gain=16.0)
     z = 0.01 * (rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40)))
-    u = 16.0 * idft_modulate(ofdm, z).with_cp
+    u = 16.0 * idft_modulate(ofdm, z)
     r = receiver_dft(ofdm, propagate(chan, u))
     model = ofdm.m * np.einsum("pkn,np->kp", chan.freq, z)
     assert np.max(np.abs(r - model)) / np.max(np.abs(model)) <= 1e-6

@@ -206,11 +206,50 @@ def test_empty_modulator_budget_exits_3_under_backoff(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+_SMALL = {"m": 64, "m_s": 40, "qam_d": 2}
+_TSD_N1 = {"system": {"n": 1, "k": 1, **_SMALL}}
+_ZF_BO_IDEAL = {"precoder": {"name": "zf-bo"}, "pa": {"kind": "ideal"}}
+_SLP_BO_IDEAL = {"precoder": {"name": "slp-bo"}, "pa": {"kind": "ideal"}}
+
+
+@pytest.mark.parametrize("command,edit,message", [
+    # a tail-removing loop needs its tail antennas plus one shaped antenna
+    ("ber", _TSD_N1, "at least 2 antennas"),
+    ("scatter", _TSD_N1, "at least 2 antennas"),
+    ("shaping-spectrum", _TSD_N1, "at least 2 antennas"),
+    ("ber", {"system": {"n": 2, "k": 1, **_SMALL}, "scheme": "tsd2"}, "at least 3 antennas"),
+    # the ideal PA has no 1 dB compression point to back off from
+    ("ber", _ZF_BO_IDEAL, "back-off budget"),
+    ("scatter", _ZF_BO_IDEAL, "back-off budget"),
+    ("ber", _SLP_BO_IDEAL, "back-off budget"),
+    ("scatter", _SLP_BO_IDEAL, "back-off budget"),
+    # the shaping spectrum of an order-p loop needs more than p antennas
+    ("shaping-spectrum", {"system": {"n": 1, "k": 1, **_SMALL}, "scheme": "sd1"},
+     "at least 2 antennas"),
+    ("shaping-spectrum", {"system": {"n": 2, "k": 1, **_SMALL}, "scheme": "sd2"},
+     "at least 3 antennas"),
+], ids=["ber-tsd1-n1", "scatter-tsd1-n1", "spectrum-tsd1-n1", "ber-tsd2-n2",
+        "ber-zf-bo-ideal", "scatter-zf-bo-ideal", "ber-slp-bo-ideal", "scatter-slp-bo-ideal",
+        "spectrum-sd1-n1", "spectrum-sd2-n2"])
+def test_chain_the_array_or_pa_cannot_run_exits_3(tiny_config, tmp_path, capsys, command,
+                                                  edit, message):
+    # refused before any trial, not reported as every trial's runtime failure
+    doc = {**json.loads(tiny_config.read_text()), **edit}
+    cfg = tmp_path / "unrunnable.json"
+    cfg.write_text(json.dumps(doc))
+    code = cmd_dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and message in err["message"]
+
+
 @pytest.mark.parametrize("argv_extra,edit", [
     ([], {"noise": {"sigma_v2": [float("nan")]}}),
     (["--seed", "-1"], {}),
     ([], {"system": {"n": 4, "k": 2, "m": 64, "m_s": 40, "qam_d": 3}}),
-], ids=["sigma_v2-nan", "seed-override-negative", "qam_d-3"])
+    ([], {"run": {"trials": 2, "blocks_per_trial": 1, "self_check": False,
+                  "spectrum_angles_deg": []}}),
+], ids=["sigma_v2-nan", "seed-override-negative", "qam_d-3", "spectrum_angles-empty"])
 def test_invalid_values_exit_3(tiny_config, tmp_path, capsys, argv_extra, edit):
     doc = {**json.loads(tiny_config.read_text()), **edit}
     cfg = tmp_path / "bad.json"
@@ -319,7 +358,7 @@ loaded = sorted(m for m in sys.modules
 
 from sdmimo.channel import RrcFilter, UlaGeometry, draw_channel
 from sdmimo.ofdm import OfdmParams
-from sdmimo.precoding import slp_objective
+from slp_functions import slp_objective
 from sdmimo.qam import QamConstellation
 
 rng = np.random.default_rng(0)
@@ -336,7 +375,8 @@ print(json.dumps({"loaded": loaded, "finite": bool(np.isfinite(f)),
 def test_zf_runs_load_no_scipy_and_no_process_pool(tiny_config, tmp_path):
     # import sdmimo and every non-SLP command stay at numpy's start-up cost;
     # SciPy arrives with the first symbol-level objective evaluation
-    env = dict(os.environ, PYTHONPATH=str(Path(sdmimo.__file__).resolve().parents[1]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(sdmimo.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
     out = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, str(tmp_path),
                           str(tiny_config)], env=env, check=True, capture_output=True,
                          text=True, timeout=300)

@@ -12,9 +12,9 @@ from sdmimo.qam import (
     QamConstellation,
     detect,
     dp_components,
-    margins,
     symbols_to_bits_errors,
 )
+from slp_functions import margins
 
 
 def _dp_scalar(s, v, beta, sigma, d):
