@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber", parents=[common], help="Monte Carlo BER sweep")
     p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="parallel trial workers")
+                   help="parallel trial workers (at most one per trial)")
 
     sub.add_parser("scatter", parents=[common],
                    help="noise-free IQ cloud at one subcarrier")
@@ -130,6 +130,8 @@ def cmd_dispatch(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "ber" and args.threads < 1:
+            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -21,6 +21,11 @@ Reproducibility: trial t draws everything from a generator seeded by
 ``SeedSequence((master_seed, t))``, so results are independent of
 execution order and adding trials never perturbs earlier ones.
 
+Memory: :func:`build_context` sets glibc's allocator policy once per
+process (:func:`_keep_heap`), so that a run reuses the heap pages of the
+runs before it instead of faulting fresh ones in.  No output depends on
+the policy or on what reused memory holds.
+
 Chain recipes
 -------------
 The precoder selector fixes the family, the amplitude budget, and the
@@ -49,6 +54,8 @@ sigma_v^2 the per-sample time-domain variance actually injected.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -105,7 +112,34 @@ class _Context:
     bound: float               # amplitude budget handed to the precoder
 
 
+_M_TRIM_THRESHOLD = -1     # glibc's mallopt parameters
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_heap() -> None:
+    """Keep freed heap memory in the process, and serve arrays up to
+    32 MiB from the heap, where the C library has glibc's ``mallopt``;
+    do nothing elsewhere (macOS, Windows).  Runs once per process.
+
+    glibc's dynamic thresholds map a run's largest arrays fresh and trim
+    the heap top when they are freed, so each run faults its heap in
+    again: about 2,500 minor faults a 64-antenna scatter run."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc's ceiling for its dynamic thresholds on 64-bit
+    # (DEFAULT_MMAP_THRESHOLD_MAX), with the trim threshold at twice the
+    # mmap threshold, as its dynamic rule sets them
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def build_context(cfg: ExperimentConfig) -> _Context:
+    _keep_heap()
     sys_ = cfg.system
     chain = CHAINS[cfg.precoder.name]
     if cfg.scheme != "auto":
@@ -215,24 +249,18 @@ def _transmit(ctx: _Context, x: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def _run_block(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
-               grid: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+               grid: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One OFDM block for the noise grid `grid`: its D designs, each sent
     once and propagated noise-free.  Returns the received frames
-    ``(D, K, m_cp + m)``, the designs' beta ``(D, K)``, their tallies
+    ``(D, K, m_cp + m)``, the designs' beta ``(D, K)`` and their tallies
     ``(4, D)``: mean beta, overloads, and each solve's ``converged`` flag
-    and ADMM rounds (zero for zero forcing, which makes no solve), and
-    the D PA-array outputs, which callers hold until they are done with
-    the block: freed here, they merge with ``propagate``'s freed product
-    at the heap top, glibc trims it, and the noise draws fault it in
-    again, about 220 or 620 minor faults a ``ber-zf`` step by the heap's
-    layout against about 400 when held (ROADMAP item 10)."""
+    and ADMM rounds (zero for zero forcing, which makes no solve)."""
     designs = _designs(ctx, chan, symbols, grid)
     sent = [_transmit(ctx, design.x) for design in designs]
     tally = [(float(d.beta.mean()), n_over, d.diagnostics.get("converged", 0.0),
               d.diagnostics.get("admm_iterations", 0.0)) for d, (_, n_over) in zip(designs, sent)]
-    outputs = [u for u, _ in sent]
-    return (np.stack([propagate(chan, u) for u in outputs]),
-            np.stack([d.beta for d in designs]), np.array(tally).T, outputs)
+    return (np.stack([propagate(chan, u) for u, _ in sent]),
+            np.stack([d.beta for d in designs]), np.array(tally).T)
 
 
 def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
@@ -246,7 +274,7 @@ def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
     tally = np.zeros((5, len(cfg.sigma_v2)))
     for _ in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        frames, beta, block_tally, _outputs = _run_block(ctx, chan, symbols, cfg.sigma_v2)
+        frames, beta, block_tally = _run_block(ctx, chan, symbols, cfg.sigma_v2)
         # a zero-forcing block has one design for the whole grid, whose
         # frame and tallies serve every column
         tally[1:] += block_tally
@@ -336,7 +364,9 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     Trials that raise are excluded from the tallies and counted (a
     warning summarizes them); when every trial raises, the
     ``RuntimeError`` names the first trial's exception.
-    Deterministic for a fixed config and seed, for any worker count.
+    Runs at most one worker per trial, and in this process for one
+    worker.  Deterministic for a fixed config and seed, for any worker
+    count.
     """
     ctx = build_context(cfg)
     _check_noise_free_designs(ctx, cfg.sigma_v2)
@@ -344,6 +374,7 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
         self_check_linear_chain(ctx)
 
     trials = range(cfg.run.trials)
+    workers = min(workers, cfg.run.trials)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -413,7 +444,7 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     intended = np.empty((cfg.system.k, n_blocks), dtype=complex)
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        frames, beta, _, _outputs = _run_block(ctx, chan, symbols, cfg.sigma_v2[:1])
+        frames, beta, _ = _run_block(ctx, chan, symbols, cfg.sigma_v2[:1])
         r = receiver_dft(ctx.ofdm, frames[0])
         points[:, blk] = r[:, p] / (ctx.ofdm.m * beta[0])
         intended[:, blk] = symbols[:, p]

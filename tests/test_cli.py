@@ -51,6 +51,15 @@ def test_unknown_subcommand_exits_2(capsys):
     assert cmd_dispatch(["frobnicate"]) == 2
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tiny_config, tmp_path, capsys, threads):
+    out = tmp_path / "out"
+    assert cmd_dispatch(["ber", "--config", str(tiny_config), "--out", str(out),
+                         "--threads", threads]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_subcommand_prints_help(capsys):
     assert cmd_dispatch([]) == 2
     assert "pa-curves" in capsys.readouterr().out

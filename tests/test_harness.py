@@ -1,11 +1,17 @@
+import concurrent.futures
 import dataclasses
+import json
 import math
+import platform
+import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from sdmimo import harness
 from sdmimo.channel import add_noise, propagate
 from sdmimo.config import PRECODER_NAMES, config_from_dict
 from sdmimo.errors import ConfigError, RankDeficient
@@ -100,6 +106,77 @@ def test_ber_deterministic_across_runs_and_workers():
     assert a == b
     c = run_ber(cfg, workers=2)
     assert a == c
+
+
+def test_process_pool_has_at_most_one_worker_per_trial(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records its size and maps in this process: starts no worker."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = config_from_dict(_tiny_doc("zf-tsd", trials=2))
+    assert run_ber(cfg, workers=8) == run_ber(cfg)
+    assert sizes == [2]
+    # a single trial runs in this process
+    run_ber(config_from_dict(_tiny_doc("zf-tsd", trials=1)), workers=8)
+    assert sizes == [2]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator policy")
+def test_repeated_run_does_not_fault_its_heap_back_in():
+    # with glibc's dynamic thresholds a desk-scale zf-tsd trial maps its
+    # largest arrays fresh and trims the heap when they are freed, about
+    # 320 minor faults a call; with the heap kept a warm call takes almost none
+    import resource
+
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "ber_desk.json").read_text())
+    doc["precoder"] = {"name": "zf-tsd"}
+    doc["run"].update(trials=1, self_check=False)
+    cfg = config_from_dict(doc)
+    for _ in range(3):
+        run_ber(cfg)
+    faults = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_ber(cfg)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert statistics.median(faults) < 40, faults
+
+
+@pytest.mark.parametrize("lookup", ["no C library", "no mallopt"])
+def test_heap_policy_is_a_no_op_without_mallopt(monkeypatch, lookup):
+    cfg = config_from_dict(_tiny_doc("zf-tsd"))
+    expected = run_ber(cfg)
+    names = []
+
+    def cdll(name):
+        names.append(name)
+        if lookup == "no C library":
+            raise OSError(lookup)
+        return object()
+
+    monkeypatch.setattr(harness.ctypes, "CDLL", cdll)
+    harness._keep_heap.cache_clear()
+    try:
+        assert run_ber(cfg) == expected
+        assert run_ber(cfg) == expected
+    finally:
+        # the next run in this process sets the policy again
+        harness._keep_heap.cache_clear()
+    assert names == [None]
 
 
 def test_ber_records_have_consistent_counts():
