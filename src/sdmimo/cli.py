@@ -62,6 +62,15 @@ def _apply_overrides(cfg: ExperimentConfig, seed: Optional[int]) -> ExperimentCo
     return dataclasses.replace(cfg, run=run)
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1 (its name is in the
+    usage error for a value that is not an integer)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _pa_curve_rows(cfg: ExperimentConfig, n_points: int):
     pa = cfg.pa
     grid = list(np.linspace(0.0, 2.0 * pa.r_max, n_points))
@@ -112,13 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pa-curves", parents=[common],
                        help="tabulate the PA AM-AM/AM-PM responses")
-    p.add_argument("--points", type=int, default=512, help="amplitude grid size")
+    p.add_argument("--points", type=positive_int, default=512, help="amplitude grid size")
 
     sub.add_parser("shaping-spectrum", parents=[common],
                    help="distortion power vs angle, measured and predicted")
 
     p = sub.add_parser("ber", parents=[common], help="Monte Carlo BER sweep")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
+    p.add_argument("--threads", type=positive_int, default=1, metavar="N",
                    help="parallel trial workers (at most one per trial)")
 
     sub.add_parser("scatter", parents=[common],
@@ -130,8 +139,6 @@ def cmd_dispatch(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "ber" and args.threads < 1:
-            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -212,12 +212,8 @@ def _designs(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
     if ctx.modulator is not None:
         _, q, _ = modulate(ctx.modulator, zf.x)
         shaped = q[:q.shape[0] - ctx.modulator.n_tail]
-        # np.mean sums in memory order, and q is C-ordered: the mean is taken
-        # over the transpose, sample by sample (antennas within a sample),
-        # the summation order of the recorded symbol-level outputs
-        # (tests/golden), so the same seed keeps giving the same bytes
-        power = np.ascontiguousarray((np.abs(shaped) ** 2).T)
-        sigma_xi2 = distortion_noise_power(chan, float(np.mean(power)), ctx.chain.scheme)
+        power = float(np.mean(np.abs(shaped) ** 2))
+        sigma_xi2 = distortion_noise_power(chan, power, ctx.chain.scheme)
     return [slp_precode(chan, symbols, ctx.bound, np.sqrt((sigma_xi2 + sv2) / ctx.ofdm.m),
                         d=ctx.const.d, settings=ctx.cfg.precoder, start=zf)
             for sv2 in grid]

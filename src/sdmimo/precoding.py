@@ -23,6 +23,13 @@ from the evaluation its predecessor ended on.  The rounds and the line
 search update their arrays in place; every value they compute is the
 one the plain expressions give, so the in-place updates change no
 decision of the solver.
+
+:func:`_margins` stacks the margins of a level's two decision thresholds
+on a leading axis of two, and :func:`dp_components` turns the stack into
+detection probabilities.  It imports ``scipy.special.ndtr``, so that
+``import sdmimo`` loads numpy and the standard library only and a run
+with no ``slp-*`` selector never loads SciPy (its import is about half
+of a ZF run's start-up).
 """
 
 from __future__ import annotations
@@ -36,11 +43,11 @@ import numpy as np
 from .channel import ChannelRealization
 from .errors import ShapeMismatch
 from .ofdm import idft_modulate
-from .qam import _level_offsets, _margins, _phi_pdf, dp_components
 
 __all__ = [
     "PrecodeResult",
     "SlpSettings",
+    "dp_components",
     "zf_precode",
     "slp_precode",
 ]
@@ -91,23 +98,6 @@ class PrecodeResult:
     diagnostics: Dict[str, float] = field(default_factory=dict)
 
 
-def _zf_solutions(chan: ChannelRealization, symbols: np.ndarray) -> np.ndarray:
-    """Per-subcarrier minimum-norm solutions H_p^dagger s_p, stacked (N, m_s).
-
-    Solved by the corrected semi-normal equations on the channel's cached
-    :class:`~sdmimo.channel.GramFactor`: one semi-normal step through the
-    inverse Gram matrices plus one refinement step, which brings the
-    residual back to the level of a per-subcarrier SVD solve (~2e-11 at
-    cond(H) = 9e4, where the uncorrected step leaves ~4e-6) at the cost
-    of batched matrix products.  The factorization is computed once per
-    channel realization and its rank test raises :class:`RankDeficient`
-    before any inverse is formed."""
-    m_s, k_users, _ = chan.freq.shape
-    if symbols.shape != (k_users, m_s):
-        raise ShapeMismatch(f"expected symbols of shape {(k_users, m_s)}, got {symbols.shape}")
-    return chan.gram.solve(symbols.T).T
-
-
 def _scale_to_max(x_unnorm: np.ndarray, budget: float) -> float:
     """Scale factor making max |x| equal `budget` to within one ulp."""
     mag = np.abs(x_unnorm)
@@ -141,27 +131,24 @@ def zf_precode(
     block.  The per-user scaling factors are beta_i = 1/Gamma.
 
     The minimum-norm solutions come from the channel's cached Gram
-    factorization (see :func:`_zf_solutions`), shared by every call on
-    the same realization.  Raises :class:`RankDeficient` when some
-    subcarrier's channel matrix has (numerically) dependent rows,
-    ``sigma_min^2 <= 1e-10 sigma_max^2``.
+    factorization (see :class:`~sdmimo.channel.GramFactor`), shared by
+    every call on the same realization.  Raises :class:`RankDeficient`
+    when some subcarrier's channel matrix has (numerically) dependent
+    rows, ``sigma_min^2 <= 1e-10 sigma_max^2``.
     """
     if variant not in ZF_VARIANTS:
         raise ValueError(f"unknown ZF variant {variant!r}")
     if budget <= 0:
         raise ValueError("budget must be positive")
     symbols = np.asarray(symbols, dtype=complex)
-    w = _zf_solutions(chan, symbols)
+    m_s, k_users, _ = chan.freq.shape
+    if symbols.shape != (k_users, m_s):
+        raise ShapeMismatch(f"expected symbols of shape {(k_users, m_s)}, got {symbols.shape}")
+    w = chan.gram.solve(symbols.T).T
     x = idft_modulate(chan.ofdm, w)
     x_unnorm = x[:, chan.ofdm.m_cp:]
     if variant == "total-power":
-        n, m = x_unnorm.shape
-        # np.linalg.norm sums in memory order, and the block is C-ordered:
-        # the norm is taken over the transpose, sample by sample (antennas
-        # within a sample), the summation order of the recorded total-power
-        # outputs (tests/golden), so the same seed keeps giving the same bytes
-        norm = float(np.linalg.norm(np.ascontiguousarray(x_unnorm.T)))
-        scale = budget * math.sqrt(n * m) / norm
+        scale = budget * math.sqrt(x_unnorm.size) / float(np.linalg.norm(x_unnorm))
     else:
         # the CP columns repeat payload samples: the whole block has the
         # payload's peak, and its contiguous rows are checked faster
@@ -183,6 +170,79 @@ def _project_in_place(x: np.ndarray, bound: float) -> np.ndarray:
     if np.any(over):
         x[over] *= bound / mag[over]
     return x
+
+
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _phi_pdf(t: np.ndarray) -> np.ndarray:
+    """Standard normal density, ``exp(-0.5 t t) / sqrt(2 pi)``, zero at +-inf."""
+    p = -0.5 * t
+    p *= t
+    np.exp(p, out=p)
+    p /= _SQRT_2PI
+    return p
+
+
+def _level_offsets(s, d):
+    """What the margins take from the levels `s` alone, each stacked on a
+    new leading axis of two: the offsets ``(1 + s, s - 1)`` of the upper
+    and lower decision thresholds, and the bounds that put the thresholds
+    that do not exist at infinity (+inf as the lower bound of the upper
+    margin above the top level, -inf as the upper bound of the lower
+    margin below the bottom one, and no bound elsewhere)."""
+    s = np.asarray(s, dtype=float)
+    bounds = np.stack((np.where(s >= 2 * d - 1, np.inf, -np.inf),
+                       np.where(s <= -(2 * d - 1), -np.inf, np.inf)))
+    return np.stack((1.0 + s, s - 1.0)), bounds
+
+
+def _margins(offsets, bounds, v, beta, sigma_eta):
+    """Stacked margins ``t[0] = ta``, ``t[1] = tc``: the margin-normalized
+    offsets ``sqrt(2) (beta (s +- 1) - v) / sigma_eta`` of the upper and
+    lower decision thresholds of levels `s` from received components `v`,
+    with the missing thresholds at +-inf.  `offsets` and `bounds` are
+    :func:`_level_offsets`' output for `s`; the result is a new array
+    shaped like `offsets`, formed in place in that order.
+    :func:`dp_components` takes it."""
+    t = offsets * beta
+    t -= v
+    t *= np.sqrt(2.0)
+    t /= sigma_eta
+    np.maximum(t[0], bounds[0], out=t[0])
+    np.minimum(t[1], bounds[1], out=t[1])
+    return t
+
+
+def dp_components(t, need_grad=True):
+    """Vectorized per-component DP with the pieces needed for gradients.
+
+    `t` holds the stacked margins of :func:`_margins`, ``t[0] = ta`` and
+    ``t[1] = tc``.  Returns ``(dp, phi_hi, phi_lo)``, each shaped like
+    ``t[0]``, where `phi_hi`/`phi_lo` are the Gaussian densities at the
+    upper/lower margins (zero where the corresponding branch has no
+    finite threshold); both are None when `need_grad` is false.
+
+    The edge levels carry an infinite threshold, so every entry is the
+    interval probability ``Phi(ta) - Phi(tc)``.  It is taken in the
+    survival form ``Phi(-tc) - Phi(-ta)`` when ``ta + tc > 0``, where both
+    arguments are high and the direct difference would cancel.  Both
+    margins go through one `ndtr` call and give the same values as
+    evaluating each level's branch on its own (a zero DP may come out as
+    -0.0): negation is exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x``
+    in IEEE arithmetic.
+    """
+    from scipy.special import ndtr
+
+    sgn = np.where(t[0] + t[1] > 0, -1.0, 1.0)
+    u = sgn * t
+    ndtr(u, out=u)
+    dp = np.subtract(u[0], u[1], out=u[0])
+    dp *= sgn
+    if not need_grad:
+        return dp, None, None
+    phi = _phi_pdf(t)
+    return dp, phi[0], phi[1]
 
 
 class _SlpObjective:
@@ -245,11 +305,6 @@ class _SlpObjective:
         return grad_beta, grad_z
 
 
-def _time_to_subcarriers(e: np.ndarray, m_s: int) -> np.ndarray:
-    """E conj(F_s): subcarrier-domain adjoint of the padded IDFT."""
-    return np.fft.fft(e, axis=1)[:, :m_s]
-
-
 def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0):
     """Accelerated proximal gradient for
     ``min_{beta >= 0, Z} F(beta, Z) + rho/2 ||W - Z F_s^T||_F^2``.
@@ -285,7 +340,7 @@ def _apg_solve(obj, ofdm, beta0, z0, eval0, w_target, rho, max_iter, tol, gamma0
     no decision depends on how it is formed.
     """
     m, m_s = ofdm.m, ofdm.m_s
-    w_spec = rho * _time_to_subcarriers(w_target, m_s)   # rho * W conj(F_s)
+    w_spec = rho * np.fft.fft(w_target, axis=1)[:, :m_s]   # rho * W conj(F_s)
     w_step = np.empty_like(w_spec)
 
     def prox_step(beta_ex, z_ex, g_beta, g_z, step):

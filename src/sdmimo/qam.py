@@ -1,26 +1,9 @@
-"""Square QAM constellations, detection, Gray bit mapping, and the
-per-component correct-detection probability used by the symbol-level
-precoder.
+"""Square QAM constellations, detection, and the Gray-coded bit tally.
 
 The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 [-(2D-1), 2D-1]}, i.e. 4*D^2 points.  Detection is per-axis nearest odd
 integer with clipping; exact mid-ties round toward zero, and a component
 of exactly zero (a tie between -1 and +1) decides -1.
-
-The probability is computed in two steps: :func:`_margins` forms the
-margin-normalized offsets of a level's upper and lower decision
-thresholds, stacked on a leading axis of two, and :func:`dp_components`
-turns the stack into probabilities (and densities for gradients).  The
-symbol-level objective forms the margins from constants it lays out
-once per solve (:func:`_level_offsets`) and keeps them for its
-gradient.
-
-Only the symbol-level precoder evaluates the Gaussian CDF, so
-``scipy.special.ndtr`` is imported inside :func:`dp_components`, the
-one function that calls it: ``import sdmimo`` then loads numpy and the
-standard library only, and a run with no ``slp-*`` selector never loads
-SciPy (its import is about half of a ZF run's start-up).  An SLP run
-pays the same import once, at its first objective evaluation.
 """
 
 from __future__ import annotations
@@ -32,7 +15,6 @@ import numpy as np
 __all__ = [
     "QamConstellation",
     "detect",
-    "dp_components",
     "symbols_to_bits_errors",
 ]
 
@@ -96,79 +78,6 @@ def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
     z = np.asarray(r, dtype=complex) / beta
     d = constellation.d
     return _nearest_level(z.real, d) + 1j * _nearest_level(z.imag, d)
-
-
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
-
-
-def _phi_pdf(t: np.ndarray) -> np.ndarray:
-    """Standard normal density, ``exp(-0.5 t t) / sqrt(2 pi)``, zero at +-inf."""
-    p = -0.5 * t
-    p *= t
-    np.exp(p, out=p)
-    p /= _SQRT_2PI
-    return p
-
-
-def _level_offsets(s, d):
-    """What the margins take from the levels `s` alone, each stacked on a
-    new leading axis of two: the offsets ``(1 + s, s - 1)`` of the upper
-    and lower decision thresholds, and the bounds that put the thresholds
-    that do not exist at infinity (+inf as the lower bound of the upper
-    margin above the top level, -inf as the upper bound of the lower
-    margin below the bottom one, and no bound elsewhere)."""
-    s = np.asarray(s, dtype=float)
-    bounds = np.stack((np.where(s >= 2 * d - 1, np.inf, -np.inf),
-                       np.where(s <= -(2 * d - 1), -np.inf, np.inf)))
-    return np.stack((1.0 + s, s - 1.0)), bounds
-
-
-def _margins(offsets, bounds, v, beta, sigma_eta):
-    """Stacked margins ``t[0] = ta``, ``t[1] = tc``: the margin-normalized
-    offsets ``sqrt(2) (beta (s +- 1) - v) / sigma_eta`` of the upper and
-    lower decision thresholds of levels `s` from received components `v`,
-    with the missing thresholds at +-inf.  `offsets` and `bounds` are
-    :func:`_level_offsets`' output for `s`; the result is a new array
-    shaped like `offsets`, formed in place in that order.
-    :func:`dp_components` takes it."""
-    t = offsets * beta
-    t -= v
-    t *= np.sqrt(2.0)
-    t /= sigma_eta
-    np.maximum(t[0], bounds[0], out=t[0])
-    np.minimum(t[1], bounds[1], out=t[1])
-    return t
-
-
-def dp_components(t, need_grad=True):
-    """Vectorized per-component DP with the pieces needed for gradients.
-
-    `t` holds the stacked margins of :func:`_margins`, ``t[0] = ta`` and
-    ``t[1] = tc``.  Returns ``(dp, phi_hi, phi_lo)``, each shaped like
-    ``t[0]``, where `phi_hi`/`phi_lo` are the Gaussian densities at the
-    upper/lower margins (zero where the corresponding branch has no
-    finite threshold); both are None when `need_grad` is false.
-
-    The edge levels carry an infinite threshold, so every entry is the
-    interval probability ``Phi(ta) - Phi(tc)``.  It is taken in the
-    survival form ``Phi(-tc) - Phi(-ta)`` when ``ta + tc > 0``, where both
-    arguments are high and the direct difference would cancel.  Both
-    margins go through one `ndtr` call and give the same values as
-    evaluating each level's branch on its own (a zero DP may come out as
-    -0.0): negation is exact, ``ndtr(-inf) == 0`` and ``-(x - y) == y - x``
-    in IEEE arithmetic.
-    """
-    from scipy.special import ndtr
-
-    sgn = np.where(t[0] + t[1] > 0, -1.0, 1.0)
-    u = sgn * t
-    ndtr(u, out=u)
-    dp = np.subtract(u[0], u[1], out=u[0])
-    dp *= sgn
-    if not need_grad:
-        return dp, None, None
-    phi = _phi_pdf(t)
-    return dp, phi[0], phi[1]
 
 
 # bit counts for one byte, used to tally Gray-coded bit errors

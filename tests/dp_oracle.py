@@ -1,4 +1,4 @@
-"""Independent reference for :func:`sdmimo.qam.dp_components`.
+"""Independent reference for :func:`sdmimo.precoding.dp_components`.
 
 Evaluates each level class on its own branch: the interior levels by
 the difference of two normal CDFs (in the survival form when both

@@ -8,8 +8,7 @@ tests check them one point at a time through these wrappers.
 
 import numpy as np
 
-from sdmimo.precoding import _project_in_place, _SlpObjective
-from sdmimo.qam import _level_offsets, _margins
+from sdmimo.precoding import _level_offsets, _margins, _project_in_place, _SlpObjective
 
 
 def margins(s_axis, v_axis, beta, sigma_eta, d):
@@ -19,7 +18,7 @@ def margins(s_axis, v_axis, beta, sigma_eta, d):
     ``sqrt(2) (beta (s +- 1) - v) / sigma_eta``, and +inf above the top
     level and -inf below the bottom one.  The arguments broadcast
     against each other (`beta` and `sigma_eta` are typically per-user
-    columns).  :func:`sdmimo.qam.dp_components` takes the result."""
+    columns).  :func:`sdmimo.precoding.dp_components` takes the result."""
     v = np.asarray(v_axis, dtype=float)
     s = np.broadcast_to(np.asarray(s_axis, dtype=float),
                         np.broadcast_shapes(np.shape(s_axis), v.shape, np.shape(beta),

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from sdmimo.qam import dp_components
+from sdmimo.precoding import dp_components
 from slp_functions import margins
 
 _OBJECTIVE_CAP = 1e12

@@ -18,8 +18,8 @@ from sdmimo.config import config_from_dict
 from sdmimo.harness import run_ber, run_scatter, run_shaping_spectrum, substream
 from sdmimo.ofdm import OfdmParams, idft_modulate, receiver_dft
 from sdmimo.pa import PaModel, ShapingBudget
-from sdmimo.precoding import slp_precode, zf_precode
-from sdmimo.qam import QamConstellation, dp_components
+from sdmimo.precoding import dp_components, slp_precode, zf_precode
+from sdmimo.qam import QamConstellation
 from sdmimo.sigma_delta import ModulatorConfig, modulate
 
 from conftest import complex_uniform_disk

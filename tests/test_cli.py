@@ -60,6 +60,15 @@ def test_threads_below_one_is_a_usage_error(tiny_config, tmp_path, capsys, threa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_points_below_one_is_a_usage_error(tiny_config, tmp_path, capsys, points):
+    out = tmp_path / "out"
+    assert cmd_dispatch(["pa-curves", "--config", str(tiny_config), "--out", str(out),
+                         "--points", points]) == 2
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_subcommand_prints_help(capsys):
     assert cmd_dispatch([]) == 2
     assert "pa-curves" in capsys.readouterr().out

@@ -397,7 +397,7 @@ def test_slp_improves_on_zf_and_is_feasible():
 def test_slp_huge_budget_drives_dp_to_one():
     # with a generous budget the solver pushes every DP toward 1 and the
     # final decision margins are no worse than the ZF start's
-    from sdmimo.qam import dp_components
+    from sdmimo.precoding import dp_components
 
     def min_dp(beta, z, chan, s, sigma):
         v = np.einsum("pkn,np->kp", chan.freq, z)

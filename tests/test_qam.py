@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from dp_oracle import dp_components_oracle
-from sdmimo.qam import (
-    QamConstellation,
-    detect,
-    dp_components,
-    symbols_to_bits_errors,
-)
+from sdmimo.precoding import dp_components
+from sdmimo.qam import QamConstellation, detect, symbols_to_bits_errors
 from slp_functions import margins
 
 
