@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -402,20 +402,37 @@ def propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def add_noise(y: np.ndarray, sigma_v2: float,
+def add_noise(y: np.ndarray, sigma_v2: Union[float, Sequence[float]],
               rng: Optional[np.random.Generator]) -> np.ndarray:
     """`y` plus i.i.d. CN(0, sigma_v2) samples, one per entry.
 
-    Draws all real parts, then all imaginary parts, from `rng`.  Returns
-    `y` itself, drawing nothing, when ``sigma_v2 <= 0``; otherwise `rng`
-    is required.
+    `sigma_v2` is one level, or a grid of S levels for a stack `y` of S
+    frames (or of one frame for all) and then gives a new ``(S, ...)``
+    stack.  The P positive levels draw in one ``standard_normal((P, 2) +
+    frame)`` call: in grid order, all real parts then all imaginary parts
+    of each level, the stream of one call per level.  A sample is
+    ``y + sqrt(sigma_v2 / 2) * (n_re + 1j n_im)``, formed on the real and
+    imaginary parts.  A level ``<= 0`` draws nothing and keeps its frame
+    (`y` itself for one level); `rng` is required when a level is positive.
     """
-    if sigma_v2 <= 0.0:
-        return y
-    if rng is None:
-        raise ValueError("rng required when sigma_v2 > 0")
-    noise = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    return y + noise * math.sqrt(sigma_v2 / 2.0)
+    if np.ndim(sigma_v2) == 0:
+        return y if sigma_v2 <= 0.0 else add_noise(np.asarray(y)[None], [sigma_v2], rng)[0]
+    grid = np.asarray(sigma_v2, dtype=float)
+    y = np.asarray(y, dtype=complex)
+    stack = np.empty(grid.shape + y.shape[1:], dtype=complex)
+    frames = np.broadcast_to(y, stack.shape)
+    positive = grid > 0.0
+    stack[~positive] = frames[~positive]
+    noisy = np.flatnonzero(positive)
+    if noisy.size:
+        if rng is None:
+            raise ValueError("rng required when sigma_v2 > 0")
+        noise = rng.standard_normal((noisy.size, 2) + stack.shape[1:])
+        noise *= np.sqrt(grid[noisy] / 2.0).reshape((-1,) + (1,) * (noise.ndim - 1))
+        for s, (re, im) in zip(noisy, noise):
+            np.add(frames[s].real, re, out=stack[s].real)
+            np.add(frames[s].imag, im, out=stack[s].imag)
+    return stack
 
 
 def hold_rx_power_factor(rx_filter, osf: int) -> float:

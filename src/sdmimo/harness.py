@@ -7,10 +7,11 @@ precodes the block: one zero-forcing design for the whole noise grid, or
 one symbol-level solve per noise point from one shared zero-forcing
 start and distortion measurement.  :func:`_transmit` runs each design
 once through ``modulate`` and the PAs and counts its overloads once;
-``propagate`` carries it to the users noise-free.  A BER trial adds one
-``add_noise`` draw per grid point to those frames, in grid order, then
-runs one DFT, detection and bit tally over the stack; the scatter run
-reads its one noise-free frame.
+``propagate`` carries it to the users noise-free.  A BER trial makes one
+``add_noise`` call per block for the whole grid, which draws the noise
+of every noisy point at once, in grid order, into one stack of noisy
+frames, then runs one DFT, detection and bit tally over the stack; the
+scatter run reads its one noise-free frame.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -274,10 +275,9 @@ def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
         # a zero-forcing block has one design for the whole grid, whose
         # frame and tallies serve every column
         tally[1:] += block_tally
-        # one noisy copy per noise point, drawn in grid order, then one DFT,
-        # one detection and one bit tally for the whole stack
-        frames = np.broadcast_to(frames, (len(cfg.sigma_v2),) + frames.shape[1:])
-        y = np.stack([add_noise(y0, sv2, rng) for y0, sv2 in zip(frames, cfg.sigma_v2)])
+        # one noise draw for the whole grid, then one DFT, one detection and
+        # one bit tally for the stack of noisy frames
+        y = add_noise(frames, cfg.sigma_v2, rng)
         s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta[:, :, None], ctx.const)
         tally[0] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
     return tally
@@ -354,8 +354,8 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     Gray-coded bit errors per noise point, one block at a time along the
     path of the module docstring: a zero-forcing block is precoded,
     modulated and propagated once for the whole grid, a symbol-level
-    block once per noise point; every noise point then gets its own
-    noise draw, in grid order.  The tally arrays of the trials that do
+    block once per noise point; one noise draw per block then covers
+    every noisy point, in grid order.  The tally arrays of the trials that do
     not raise are summed once, in trial order, and form every record.
     Trials that raise are excluded from the tallies and counted (a
     warning summarizes them); when every trial raises, the

@@ -3,7 +3,8 @@
 The constellation is the set {s_R + j s_I : s_R, s_I odd integers in
 [-(2D-1), 2D-1]}, i.e. 4*D^2 points.  Detection is per-axis nearest odd
 integer with clipping; exact mid-ties round toward zero, and a component
-of exactly zero (a tie between -1 and +1) decides -1.
+of exactly zero (a tie between -1 and +1) decides -1.  Detection and the
+bit tally run on the interleaved float views of their complex inputs.
 """
 
 from __future__ import annotations
@@ -49,39 +50,55 @@ class QamConstellation:
         return int(np.log2(2 * self.d))
 
     def random_symbols(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Symbols drawn uniformly from the constellation."""
+        """Symbols drawn uniformly from the constellation: all level indices
+        of the real parts, then all of the imaginary parts, written into
+        one complex array."""
         re = rng.integers(0, 2 * self.d, size=shape)
         im = rng.integers(0, 2 * self.d, size=shape)
-        lv = self.levels
-        return lv[re].astype(float) + 1j * lv[im].astype(float)
-
-
-def _nearest_level(x: np.ndarray, d: int) -> np.ndarray:
-    # nearest odd level, clipped to +-(2d-1); exact ties go toward zero and
-    # +-0 decides -1.  |x| / 2 is exact (a subnormal may round, but stays
-    # below 1), so every boundary 2j is decided exactly
-    level = 2.0 * np.clip(np.ceil(np.abs(x) / 2.0), 1, d) - 1.0
-    return np.where(x > 0, level, -level)
+        lv = self.levels.astype(float)
+        s = np.empty(re.shape, dtype=complex)
+        s.real = lv[re]
+        s.imag = lv[im]
+        return s
 
 
 def detect(r, beta, constellation: QamConstellation) -> np.ndarray:
-    """Decide symbols from received values: per-axis nearest level of r/beta.
+    """Decide symbols from received values: per-axis nearest level of the
+    quotient ``r * (1/beta)``.
+
+    The quotient is one real product per component of the float view of
+    `r`: what numpy computes for a complex array divided by a real one,
+    which can differ from the true quotient ``r / beta`` by one ulp.  The
+    level rule ``2 clip(ceil(|z| / 2), 1, d) - 1``, times +1 where
+    ``z > 0`` and -1 elsewhere, runs in place on the float view of the
+    result.  ``|z| / 2`` is exact (a subnormal may round, but stays below
+    1), so every boundary 2j of the quotient is decided exactly.
 
     Scaling invariant: ``detect(c*r, c*beta)`` equals ``detect(r, beta)``
     bit for bit when c is a power of two (and nothing overflows or
-    underflows), since then ``c*r / (c*beta)`` rounds to ``r / beta``.  A
-    general c > 0 can move the quotient of a point that sits on a
-    decision boundary by one ulp, and so its decision by one level.
+    underflows), since then ``c*r * (1/(c*beta))`` rounds to
+    ``r * (1/beta)``.  A general c > 0 can move the quotient of a point
+    that sits on a decision boundary by one ulp, and so its decision by
+    one level.
     """
-    if np.any(np.asarray(beta) <= 0):
+    beta = np.asarray(beta, dtype=float)
+    if np.any(beta <= 0):
         raise ValueError("beta must be positive")
-    z = np.asarray(r, dtype=complex) / beta
-    d = constellation.d
-    return _nearest_level(z.real, d) + 1j * _nearest_level(z.imag, d)
-
-
-# bit counts for one byte, used to tally Gray-coded bit errors
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
+    r = np.asarray(r, dtype=complex)
+    s_hat = np.empty(np.broadcast_shapes(r.shape, beta.shape), dtype=complex)
+    z = s_hat[..., None].view(float)          # (..., 2): real and imaginary parts
+    np.multiply(r[..., None].view(float), 1.0 / beta[..., None], out=z)
+    sign = np.greater(z, 0.0).astype(float)
+    sign *= 2.0
+    sign -= 1.0
+    np.abs(z, out=z)
+    z /= 2.0
+    np.ceil(z, out=z)
+    np.clip(z, 1, constellation.d, out=z)
+    z *= 2.0
+    z -= 1.0
+    z *= sign
+    return s_hat
 
 
 def symbols_to_bits_errors(s_true, s_hat, constellation: QamConstellation):
@@ -89,20 +106,24 @@ def symbols_to_bits_errors(s_true, s_hat, constellation: QamConstellation):
 
     Each axis carries log2(2d) bits; the level index k (0..2d-1) maps to
     the Gray code k ^ (k >> 1), so adjacent levels differ in one bit.
-    The two arrays broadcast against each other.  A result of at most two
-    dimensions gives the total as an int; a stacked one, e.g. (S, K, m_s),
-    is summed over its last two axes and gives one count per leading
-    index (an int64 array).
+    Gray coding commutes with XOR, so the bits two components differ in
+    are those of the one Gray code of their indices' XOR, counted with
+    ``np.bitwise_count`` (every bit, for any d).  The two arrays
+    broadcast against each other.  A result of at most two dimensions
+    gives the total as an int; a stacked one, e.g. (S, K, m_s), is summed
+    over its last two axes and gives one count per leading index (an
+    int64 array).
     """
     d = constellation.d
 
-    def gray(ax):
-        k = ((np.asarray(ax) + (2 * d - 1)) / 2).astype(np.int64)
-        return k ^ (k >> 1)
+    def index(s):
+        # the level index (level + 2d - 1) / 2 of every real and imaginary part
+        s = np.asarray(s, dtype=complex)
+        return ((s[..., None].view(float) + (2 * d - 1)) / 2).astype(np.int64)
 
-    s_true = np.asarray(s_true)
-    s_hat = np.asarray(s_hat)
-    flips = (_POPCOUNT[(gray(s_true.real) ^ gray(s_hat.real)) & 0xFF]
-             + _POPCOUNT[(gray(s_true.imag) ^ gray(s_hat.imag)) & 0xFF])
-    counts = flips.sum(axis=tuple(range(max(flips.ndim - 2, 0), flips.ndim)))
+    x = index(s_true) ^ index(s_hat)
+    x ^= x >> 1
+    flips = np.bitwise_count(x)
+    nd = flips.ndim - 1
+    counts = flips.sum(axis=tuple(range(max(nd - 2, 0), flips.ndim)), dtype=np.int64)
     return int(counts) if counts.ndim == 0 else counts

@@ -130,26 +130,33 @@ def modulate(cfg: ModulatorConfig, x) -> Tuple[np.ndarray, np.ndarray, np.ndarra
     The outputs are C-ordered whatever the layout of `x`.  Each antenna
     row runs :func:`~sdmimo.pa.apply_pa_into`, the one PA kernel behind
     :func:`~sdmimo.pa.apply_pa`, straight into its row of `u`, with work
-    buffers allocated once per frame; the feedback and `q` are formed in
-    place, by the same ufuncs in the same order as the plain expressions.
+    buffers allocated once per frame.  The feedback is formed in place
+    with one subtract per term, the product ``c_k q_{n-k}`` being exact
+    (none for ``c_k = 1``), and ``q_n = u_n * (1/A) - b_n`` on the float
+    views of the rows: the values of the complex ``u_n / A - b_n``, as
+    numpy's complex division by a real scales by its reciprocal.
     """
     x = _check_frame(x, cfg)
     n_antennas, n_samples = x.shape
     first_tail = n_antennas - cfg.n_tail
     linear = cfg.pa.linear
     feedback = _FEEDBACK[cfg.order]
+    inv_gain = 1.0 / cfg.pa.gain
     u = np.empty(x.shape, dtype=complex)
     q = np.empty(x.shape, dtype=complex)
     b = np.empty(x.shape, dtype=complex)
-    term = np.empty(n_samples, dtype=complex)
+    u_f, q_f, b_f = u.view(float), q.view(float), b.view(float)   # (N, 2T) each
+    term = np.empty(2 * n_samples)
     work = pa_work((n_samples,))
     for n in range(n_antennas):
         b_n = b[n]
-        b_n[...] = x[n]
+        if n == 0:
+            b_n[...] = x[0]
         for k, c in enumerate(feedback[:n], start=1):
-            b_n -= np.multiply(c, q[n - k], out=term)
+            fed = q[n - k] if c == 1.0 else np.multiply(q_f[n - k], c, out=term).view(complex)
+            np.subtract(x[n] if k == 1 else b_n, fed, out=b_n)
         apply_pa_into(linear if n >= first_tail else cfg.pa, b_n, u[n], work)
-        np.subtract(np.divide(u[n], cfg.pa.gain, out=q[n]), b_n, out=q[n])
+        np.subtract(np.multiply(u_f[n], inv_gain, out=q_f[n]), b_f[n], out=q_f[n])
     return u, q, b
 
 

@@ -262,6 +262,36 @@ def test_add_noise_bit_for_bit():
     assert not np.array_equal(got, y + (re + 1j * im) * (scale * (1.0 + 1e-6)))
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_add_noise_grid_matches_one_draw_per_level(stacked):
+    # a grid's noise is the stream of one call per positive level, in grid
+    # order; a level of 0 draws nothing and keeps its frame, whether it is
+    # first, in the middle or last
+    grid = [0.0, 0.037, 0.5, 0.0, 1e-3, 0.0]
+    y = (np.random.default_rng(17).standard_normal((len(grid) if stacked else 1, 3, 56))
+         * (1.0 + 0.5j))
+    gen = np.random.default_rng(23)
+    got = add_noise(y, grid, gen)
+    assert got.shape == (len(grid), 3, 56)
+    rng = np.random.default_rng(23)
+    for s, sv2 in enumerate(grid):
+        y_s = y[s if stacked else 0]
+        if sv2 > 0:
+            re = rng.standard_normal(y_s.shape)
+            im = rng.standard_normal(y_s.shape)
+            y_s = y_s + (re + 1j * im) * math.sqrt(sv2 / 2.0)
+        assert got[s].tobytes() == y_s.tobytes()
+    assert gen.random() == rng.random()
+
+
+def test_add_noise_grid_without_noise_needs_no_rng():
+    y = np.arange(6.0).reshape(1, 2, 3) * 1j
+    got = add_noise(y, [0.0, 0.0], None)
+    assert got.shape == (2, 2, 3) and np.array_equal(got, np.concatenate([y, y]))
+    with pytest.raises(ValueError):
+        add_noise(y, [0.0, 0.1], None)
+
+
 def test_add_noise_requires_rng():
     with pytest.raises(ValueError):
         add_noise(np.zeros((1, 56), dtype=complex), 0.1, None)

@@ -296,9 +296,11 @@ _DESK_SNR_DB = [14.0, 20.0, 24.0, 28.0, 32.0, 36.0]
 
 
 def _per_point_zf_counts(ctx, trial):
-    """Errors and bits per noise point of one zero-forcing trial, with a
-    DFT, a detection and a bit tally of its own for every noise point: the
-    reference for the stacked noise sweep in `_run_trial`."""
+    """Errors, bits and noisy frames per noise point of one zero-forcing
+    trial, with an ``add_noise`` call, a DFT, a detection and a bit tally
+    of its own for every noise point: the reference for the stacked noise
+    sweep in `_run_trial`.  The frames are one ``(S, K, m_cp + m)`` stack
+    per block."""
     import sdmimo.harness as hz
 
     cfg = ctx.cfg
@@ -306,32 +308,63 @@ def _per_point_zf_counts(ctx, trial):
     chan = hz._draw_trial_channel(ctx, rng)
     errors = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
     bits = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
+    frames = []
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         result = hz._designs(ctx, chan, symbols, (0.0,))[0]
         u, _ = hz._transmit(ctx, result.x)
         y0 = propagate(chan, u)
+        frames.append([])
         for si, sv2 in enumerate(cfg.sigma_v2):
-            r = receiver_dft(ctx.ofdm, add_noise(y0, sv2, rng))
-            s_hat = detect(r, ctx.ofdm.m * result.beta[:, None], ctx.const)
+            y = add_noise(y0, sv2, rng)
+            frames[-1].append(y)
+            s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * result.beta[:, None], ctx.const)
             errors[si] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
             bits[si] += symbols.size * 2 * ctx.const.bits_per_axis
-    return errors, bits
+    return errors, bits, [np.stack(f) for f in frames]
 
 
-@pytest.mark.parametrize("precoder,scheme", [("zf-tsd", "auto"), ("zf-bo", "auto"),
-                                             ("zf-sd", "none")])
-@pytest.mark.parametrize("blocks", [1, 2])
-def test_stacked_noise_sweep_matches_per_point_loop(precoder, scheme, blocks):
+def _check_stacked_sweep(monkeypatch, precoder, scheme, blocks, noise):
+    """Run `run_ber` on a tiny config with the noise section `noise` and
+    compare its counts, and the stacked noisy frames it hands to the DFT,
+    bit for bit with the per-point loop of `_per_point_zf_counts`."""
     doc = _tiny_doc(precoder, scheme, trials=3, blocks_per_trial=blocks)
-    doc["noise"] = {"inv_sigma_v2_db": _DESK_SNR_DB}
+    doc["noise"] = noise
     cfg = config_from_dict(doc)
+    stacks = []
+    dft = harness.receiver_dft
+    monkeypatch.setattr(harness, "receiver_dft",
+                        lambda ofdm, y: stacks.append(np.copy(y)) or dft(ofdm, y))
     records = run_ber(cfg)
     ctx = build_context(cfg)
-    counts = [_per_point_zf_counts(ctx, t) for t in range(cfg.run.trials)]
-    assert [r.errors for r in records] == list(sum(e for e, _ in counts))
-    assert [r.bits for r in records] == list(sum(b for _, b in counts))
-    assert records[0].errors > 0      # the comparison covers actual errors
+    reference = [_per_point_zf_counts(ctx, t) for t in range(cfg.run.trials)]
+    assert [r.errors for r in records] == list(sum(e for e, _, _ in reference))
+    assert [r.bits for r in records] == list(sum(b for _, b, _ in reference))
+    want = [stack for _, _, frames in reference for stack in frames]
+    assert len(stacks) == len(want) == cfg.run.trials * blocks
+    for got, ref in zip(stacks, want):
+        assert got.view(float).tobytes() == ref.view(float).tobytes()
+    # the comparison covers actual errors
+    assert next(r for r in records if r.sigma_v2 > 0).errors > 0
+
+
+_ZF_CHAINS = [("zf-tsd", "auto"), ("zf-bo", "auto"), ("zf-sd", "none")]
+
+
+@pytest.mark.parametrize("precoder,scheme", _ZF_CHAINS)
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_stacked_noise_sweep_matches_per_point_loop(precoder, scheme, blocks, monkeypatch):
+    _check_stacked_sweep(monkeypatch, precoder, scheme, blocks,
+                         {"inv_sigma_v2_db": _DESK_SNR_DB})
+
+
+@pytest.mark.parametrize("precoder,scheme", _ZF_CHAINS)
+def test_stacked_noise_sweep_with_noise_free_points(precoder, scheme, monkeypatch):
+    # noise-free points first, in the middle and last draw nothing and keep
+    # their frames; the noisy ones around them see the per-point stream
+    grid = [10.0 ** (-snr / 10.0) for snr in _DESK_SNR_DB]
+    _check_stacked_sweep(monkeypatch, precoder, scheme, 2,
+                         {"sigma_v2": [0.0, *grid[:3], 0.0, *grid[3:], 0.0]})
 
 
 @pytest.mark.parametrize("precoder,scheme", [("zf-tsd", "auto"), ("zf-bo", "auto"),

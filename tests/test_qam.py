@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from dp_oracle import dp_components_oracle
+from qam_oracle import bits_errors_oracle, detect_oracle
 from sdmimo.precoding import dp_components
 from sdmimo.qam import QamConstellation, detect, symbols_to_bits_errors
 from slp_functions import margins
@@ -38,6 +39,17 @@ def test_random_symbols_uniform():
     expected = s.size / 16
     for c in counts.values():
         assert abs(c - expected) < 5 * np.sqrt(expected)
+
+
+def test_random_symbols_match_the_complex_sum_of_levels():
+    # all real-part indices, then all imaginary-part ones, from one generator
+    const = QamConstellation(d=4)
+    got = const.random_symbols(np.random.default_rng(9), (3, 7))
+    rng = np.random.default_rng(9)
+    re = rng.integers(0, 8, size=(3, 7))
+    im = rng.integers(0, 8, size=(3, 7))
+    lv = const.levels.astype(float)
+    assert np.array_equal(got, lv[re] + 1j * lv[im])
 
 
 def test_detect_exact_symbols():
@@ -146,6 +158,57 @@ def test_detect_midpoint_ties_round_toward_zero():
     assert detect(-2.0 + 0j, 1.0, const).real == -1.0
     assert detect(0j + 2.0j, 1.0, const).imag == 1.0
     assert detect(-2.0j, 1.0, const).imag == -1.0
+
+
+@pytest.mark.parametrize("beta", [1.27, 1.44, 1.5])
+def test_detect_quotient_is_scaled_by_the_reciprocal(beta):
+    # a component one ulp above 2 beta: its true quotient lies above the
+    # boundary 2 and rounds to 2 + 2^-51, which decides 3, while
+    # r * (1/beta), numpy's complex / real, rounds to 2.0 exactly, a tie
+    # that decides 1.  The golden outputs see such a move only through
+    # integer counts, so the decisions are pinned here
+    v = float(np.nextafter(2.0 * beta, np.inf))
+    assert v / beta > 2.0 and v * (1.0 / beta) == 2.0
+    r = np.array([complex(v, v), complex(-v, 0.5 * beta), complex(0.5 * beta, -v)])
+    want = np.array([1 + 1j, -1 + 1j, 1 - 1j])
+    const = QamConstellation(2)
+    assert np.array_equal(detect(r, beta, const), want)
+    assert np.array_equal(detect_oracle(r, beta, 2), want)
+    true_quotient = np.array([complex(z.real / beta, z.imag / beta) for z in r])
+    assert not np.array_equal(detect(true_quotient, 1.0, const), want)
+
+
+# one received component: a boundary 2j of the quotient times beta, moved
+# by -1, 0 or +1 ulp, or a free value (+-0, subnormals and ordinary floats)
+_COMPONENT = st.one_of(
+    st.tuples(st.integers(-129, 129), st.integers(-1, 1)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+    st.floats(-1e3, 1e3, allow_subnormal=True),
+    st.floats(-1e-300, 1e-300, allow_subnormal=True),
+)
+
+
+def _component(c, beta):
+    if not isinstance(c, tuple):
+        return c
+    j, ulps = c
+    v = 2.0 * j * beta
+    return float(np.nextafter(v, math.copysign(np.inf, ulps))) if ulps and v else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.one_of(st.integers(1, 4), st.integers(1, 128)),
+       entries=st.lists(st.tuples(_COMPONENT, _COMPONENT, st.floats(1e-3, 1e3)),
+                        min_size=1, max_size=40))
+def test_detect_matches_complex_division_oracle(d, entries):
+    # the float-view quotient and level rule decide exactly as numpy's
+    # complex division and the per-axis np.where rule do: on the
+    # boundaries, one ulp off them, at +-0 and for subnormal components
+    beta = np.array([b for _, _, b in entries])
+    r = np.array([complex(_component(re, b), _component(im, b)) for re, im, b in entries])
+    assert np.array_equal(detect(r, beta, QamConstellation(d)), detect_oracle(r, beta, d))
+    assert np.array_equal(detect(r[:, None], beta[:, None], QamConstellation(d)),
+                          detect_oracle(r[:, None], beta[:, None], d))
 
 
 def test_dp_interior_example():
@@ -281,12 +344,54 @@ def test_bits_per_axis_bounds_every_symbol_pair():
         QamConstellation(3).bits_per_axis
 
 
+def _axis_flips(a, b, const, axis):
+    """Bit errors of each level pair (a[i], b[j]) on one axis, the other
+    axis at level 1 on both sides: a (len(a), len(b)) array."""
+    a, b = a[:, None, None, None], b[None, :, None, None]
+    if axis == "imag":
+        return symbols_to_bits_errors(1.0 + 1j * a, 1.0 + 1j * b, const)
+    return symbols_to_bits_errors(a + 1j, b + 1j, const)
+
+
+@pytest.mark.parametrize("axis", ["real", "imag"])
+@pytest.mark.parametrize("d", [256, 512])
+def test_gray_bits_of_wide_axes(d, axis):
+    # Gray codes of 9 and 10 bits: adjacent levels differ in exactly one bit
+    # and the worst pair on an axis flips all bits_per_axis of them
+    const = QamConstellation(d)
+    lv = const.levels.astype(float)
+    assert np.array_equal(np.diag(_axis_flips(lv[:-1], lv[1:], const, axis)),
+                          np.ones(lv.size - 1))
+    assert _axis_flips(lv, lv, const, axis).max() == const.bits_per_axis
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=st.integers(0, 7), seed=st.integers(0, 2**32 - 1), stack=st.integers(1, 4),
+       same=st.floats(0.0, 1.0))
+def test_bit_tally_matches_byte_table_oracle(e, seed, stack, same):
+    # one Gray code of the index XOR counted by bitwise_count equals the
+    # per-axis Gray codes counted by a byte table, for d = 1 .. 128
+    const = QamConstellation(2**e)
+    rng = np.random.default_rng(seed)
+    s_true = const.random_symbols(rng, (3, 5))
+    s_hat = const.random_symbols(rng, (stack, 3, 5))
+    s_hat = np.where(rng.random(s_hat.shape) < same, s_true, s_hat)
+    got = symbols_to_bits_errors(s_true, s_hat, const)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, bits_errors_oracle(s_true, s_hat, const.d))
+    total = symbols_to_bits_errors(s_true, s_hat[0], const)
+    assert isinstance(total, int) and total == bits_errors_oracle(s_true, s_hat[0], const.d)
+
+
 def test_bit_error_count_matches_manual():
     const = QamConstellation(d=2)   # levels -3,-1,1,3 -> gray 00,01,11,10
     s_true = np.array([3 + 3j])
     s_hat = np.array([-3 - 1j])     # re: 10 vs 00 -> 1 bit; im: 10 vs 01 -> 2 bits
     assert symbols_to_bits_errors(s_true, s_hat, const) == 3
     assert symbols_to_bits_errors(s_true, s_true, const) == 0
+    # d = 256: levels -511 and 1 have the Gray codes 0 and 384, two bits apart
+    assert symbols_to_bits_errors(np.array([-511 + 1j]), np.array([1 + 1j]),
+                                  QamConstellation(256)) == 2
 
 
 def test_bit_errors_of_a_stack_are_counted_per_frame():
