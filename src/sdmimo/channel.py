@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -402,21 +402,19 @@ def propagate(chan: ChannelRealization, u: np.ndarray) -> np.ndarray:
     return y
 
 
-def add_noise(y: np.ndarray, sigma_v2: Union[float, Sequence[float]],
+def add_noise(y: np.ndarray, sigma_v2: Sequence[float],
               rng: Optional[np.random.Generator]) -> np.ndarray:
-    """`y` plus i.i.d. CN(0, sigma_v2) samples, one per entry.
+    """A new ``(S, ...)`` stack: entry s is ``y[s]`` (or ``y[0]`` when `y`
+    stacks one array for all) plus i.i.d. CN(0, sigma_v2[s]) noise on
+    every entry, for a grid `sigma_v2` of S levels.
 
-    `sigma_v2` is one level, or a grid of S levels for a stack `y` of S
-    frames (or of one frame for all) and then gives a new ``(S, ...)``
-    stack.  The P positive levels draw in one ``standard_normal((P, 2) +
-    frame)`` call: in grid order, all real parts then all imaginary parts
-    of each level, the stream of one call per level.  A sample is
+    The P positive levels draw in one ``standard_normal((P, 2) +
+    y.shape[1:])`` call: in grid order, all real parts then all imaginary
+    parts of each level, the stream of one call per level.  An entry is
     ``y + sqrt(sigma_v2 / 2) * (n_re + 1j n_im)``, formed on the real and
-    imaginary parts.  A level ``<= 0`` draws nothing and keeps its frame
-    (`y` itself for one level); `rng` is required when a level is positive.
+    imaginary parts.  A level ``<= 0`` draws nothing and keeps its array;
+    `rng` is required when a level is positive.
     """
-    if np.ndim(sigma_v2) == 0:
-        return y if sigma_v2 <= 0.0 else add_noise(np.asarray(y)[None], [sigma_v2], rng)[0]
     grid = np.asarray(sigma_v2, dtype=float)
     y = np.asarray(y, dtype=complex)
     stack = np.empty(grid.shape + y.shape[1:], dtype=complex)

@@ -7,11 +7,11 @@ precodes the block: one zero-forcing design for the whole noise grid, or
 one symbol-level solve per noise point from one shared zero-forcing
 start and distortion measurement.  :func:`_transmit` runs each design
 once through ``modulate`` and the PAs and counts its overloads once;
-``propagate`` carries it to the users noise-free.  A BER trial makes one
-``add_noise`` call per block for the whole grid, which draws the noise
-of every noisy point at once, in grid order, into one stack of noisy
-frames, then runs one DFT, detection and bit tally over the stack; the
-scatter run reads its one noise-free frame.
+``propagate`` carries it to the users and ``receiver_dft`` gives its
+noise-free received grid.  A BER trial draws the noise of every noisy
+point on the active subcarriers, in grid order, in one ``add_noise``
+call per block, then runs one detection and bit tally over the stack;
+the scatter run reads the one noise-free grid.
 
 The PAs are memoryless and the transmit pulse is a zero-order hold, so
 running the modulator and PAs on the ``m_cp + m`` symbol-rate samples
@@ -50,7 +50,9 @@ point.
 Scaling note: the unnormalized DFT pair makes the noise-free received
 subcarrier value ``M * h_p^T z_p``, so detection divides by ``M *
 beta_i``.  The noise axis is reported as 1/sigma_v^2 in dB with
-sigma_v^2 the per-sample time-domain variance actually injected.
+sigma_v^2 the per-sample time-domain variance; the receiver's DFT of
+i.i.d. CN(0, sigma_v^2) samples is i.i.d. CN(0, M sigma_v^2) over the
+active subcarriers and users, which is the noise a trial adds there.
 """
 
 from __future__ import annotations
@@ -248,15 +250,15 @@ def _transmit(ctx: _Context, x: np.ndarray) -> Tuple[np.ndarray, int]:
 def _run_block(ctx: _Context, chan: ChannelRealization, symbols: np.ndarray,
                grid: Sequence[float]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One OFDM block for the noise grid `grid`: its D designs, each sent
-    once and propagated noise-free.  Returns the received frames
-    ``(D, K, m_cp + m)``, the designs' beta ``(D, K)`` and their tallies
+    once, propagated and received noise-free.  Returns the received grids
+    ``(D, K, m_s)``, the designs' beta ``(D, K)`` and their tallies
     ``(4, D)``: mean beta, overloads, and each solve's ``converged`` flag
     and ADMM rounds (zero for zero forcing, which makes no solve)."""
     designs = _designs(ctx, chan, symbols, grid)
     sent = [_transmit(ctx, design.x) for design in designs]
     tally = [(float(d.beta.mean()), n_over, d.diagnostics.get("converged", 0.0),
               d.diagnostics.get("admm_iterations", 0.0)) for d, (_, n_over) in zip(designs, sent)]
-    return (np.stack([propagate(chan, u) for u, _ in sent]),
+    return (receiver_dft(ctx.ofdm, np.stack([propagate(chan, u) for u, _ in sent])),
             np.stack([d.beta for d in designs]), np.array(tally).T)
 
 
@@ -271,14 +273,14 @@ def _run_trial(ctx: _Context, trial: int) -> np.ndarray:
     tally = np.zeros((5, len(cfg.sigma_v2)))
     for _ in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        frames, beta, block_tally = _run_block(ctx, chan, symbols, cfg.sigma_v2)
-        # a zero-forcing block has one design for the whole grid, whose
-        # frame and tallies serve every column
+        r0, beta, block_tally = _run_block(ctx, chan, symbols, cfg.sigma_v2)
+        # a zero-forcing block has one design for the whole noise grid,
+        # whose received grid and tallies serve every column
         tally[1:] += block_tally
-        # one noise draw for the whole grid, then one DFT, one detection and
-        # one bit tally for the stack of noisy frames
-        y = add_noise(frames, cfg.sigma_v2, rng)
-        s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * beta[:, :, None], ctx.const)
+        # one noise draw for the whole grid, at the DFT's per-bin variance
+        # M sigma_v^2, then one detection and one bit tally for the stack
+        r = add_noise(r0, [ctx.ofdm.m * sv2 for sv2 in cfg.sigma_v2], rng)
+        s_hat = detect(r, ctx.ofdm.m * beta[:, :, None], ctx.const)
         tally[0] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
     return tally
 
@@ -353,9 +355,9 @@ def run_ber(cfg: ExperimentConfig, workers: int = 1) -> List[MetricRecord]:
     ``cfg.run.blocks_per_trial`` OFDM blocks each and accumulates
     Gray-coded bit errors per noise point, one block at a time along the
     path of the module docstring: a zero-forcing block is precoded,
-    modulated and propagated once for the whole grid, a symbol-level
-    block once per noise point; one noise draw per block then covers
-    every noisy point, in grid order.  The tally arrays of the trials that do
+    modulated, propagated and received once for the whole grid, a
+    symbol-level block once per noise point; one noise draw per block then
+    covers every noisy point, in grid order.  The tally arrays of the trials that do
     not raise are summed once, in trial order, and form every record.
     Trials that raise are excluded from the tallies and counted (a
     warning summarizes them); when every trial raises, the
@@ -425,7 +427,8 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     Emits ``r_{i,p} / (M beta_i)`` per user and block at subcarrier
     ``p = cfg.run.scatter_subcarrier``, plus the RMS distance of the
     cloud from the intended constellation points, for designs made for
-    the first noise point.
+    the first noise point; ``r`` is the noise-free received grid of
+    :func:`_run_block`.
     """
     ctx = build_context(cfg)
     p = cfg.run.scatter_subcarrier
@@ -440,9 +443,8 @@ def run_scatter(cfg: ExperimentConfig) -> ScatterResult:
     intended = np.empty((cfg.system.k, n_blocks), dtype=complex)
     for blk in range(n_blocks):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
-        frames, beta, _ = _run_block(ctx, chan, symbols, cfg.sigma_v2[:1])
-        r = receiver_dft(ctx.ofdm, frames[0])
-        points[:, blk] = r[:, p] / (ctx.ofdm.m * beta[0])
+        r0, beta, _ = _run_block(ctx, chan, symbols, cfg.sigma_v2[:1])
+        points[:, blk] = r0[0, :, p] / (ctx.ofdm.m * beta[0])
         intended[:, blk] = symbols[:, p]
     rms = float(np.sqrt(np.mean(np.abs(points - intended) ** 2)))
     return ScatterResult(points=points, symbols=intended, rms_deviation=rms)

@@ -36,6 +36,38 @@ DECISIONS = ("apg_iterations", "admm_iterations", "converged")
 FLOATS = ("objective", "best_objective", "residual_sq")
 
 
+def experiment_doc(config: str, selector: str, seed: Optional[int],
+                   trials: Optional[int]) -> dict:
+    """The experiment document of `config` under `selector`, without the
+    self-check, with the given seed and trial count (default: the
+    config's)."""
+    doc = json.loads(Path(config).read_text())
+    run = {**doc.get("run", {}), "self_check": False}
+    if seed is not None:
+        run["seed"] = seed
+    if trials is not None:
+        run["trials"] = trials
+    doc.update(scheme="auto", precoder={**doc.get("precoder", {}), "name": selector}, run=run)
+    return doc
+
+
+def run_in_tree(src: Path, module: str, func: str, *args) -> dict:
+    """``module.func(*args)`` of this directory in a fresh interpreter that
+    imports ``sdmimo`` from `src`; `args` and the result, a dict whose
+    ``"module"`` names the ``sdmimo`` module it used, pass as JSON."""
+    code = ("import importlib, json, sys; sys.path[:0] = sys.argv[1:3]; "
+            "f = getattr(importlib.import_module(sys.argv[3]), sys.argv[4]); "
+            "print(json.dumps(f(*map(json.loads, sys.argv[5:]))))")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src), str(HERE), module, func,
+         *map(json.dumps, args)],
+        check=True, capture_output=True, text=True).stdout
+    rec = json.loads(out.splitlines()[-1])
+    if src.resolve() not in Path(rec["module"]).resolve().parents:
+        raise RuntimeError(f"imported sdmimo from {rec['module']}, not from {src}")
+    return rec
+
+
 def record(config: str, seed: Optional[int], trials: Optional[int]) -> dict:
     """Run the `slp-tsd` experiment of `config` with the importable
     ``sdmimo``; returns every solve's diagnostics, in call order, and each
@@ -43,14 +75,7 @@ def record(config: str, seed: Optional[int], trials: Optional[int]) -> dict:
     from sdmimo import harness
     from sdmimo.config import config_from_dict
 
-    doc = json.loads(Path(config).read_text())
-    run = {**doc.get("run", {}), "self_check": False}
-    if seed is not None:
-        run["seed"] = seed
-    if trials is not None:
-        run["trials"] = trials
-    doc.update(scheme="auto", precoder={**doc.get("precoder", {}), "name": "slp-tsd"}, run=run)
-
+    doc = experiment_doc(config, "slp-tsd", seed, trials)
     solves = []
     real = harness.slp_precode
 
@@ -70,16 +95,7 @@ def record(config: str, seed: Optional[int], trials: Optional[int]) -> dict:
 
 def record_tree(src: Path, config: str, seed: Optional[int], trials: Optional[int]) -> dict:
     """:func:`record` in a fresh interpreter that imports ``sdmimo`` from `src`."""
-    code = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import slp_parity; "
-            "print(json.dumps(slp_parity.record(sys.argv[3], *map(json.loads, sys.argv[4:]))))")
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(src), str(HERE), config, json.dumps(seed),
-         json.dumps(trials)],
-        check=True, capture_output=True, text=True).stdout
-    rec = json.loads(out.splitlines()[-1])
-    if src.resolve() not in Path(rec["module"]).resolve().parents:
-        raise RuntimeError(f"imported sdmimo from {rec['module']}, not from {src}")
-    return rec
+    return run_in_tree(src, "slp_parity", "record", config, seed, trials)
 
 
 def _relative(a: float, b: float) -> float:

@@ -242,7 +242,7 @@ def test_noise_statistics():
     chan = draw_channel(np.random.default_rng(2), geom, ofdm, 3, 4, 20, pa_gain=16.0)
     sigma_v2 = 0.25
     y0 = propagate(chan, np.zeros((2, ofdm.m_cp + ofdm.m), dtype=complex))
-    y = add_noise(y0, sigma_v2, np.random.default_rng(3))
+    y = add_noise(y0[None], [sigma_v2], np.random.default_rng(3))[0]
     power = float(np.mean(np.abs(y) ** 2))
     assert power == pytest.approx(sigma_v2, rel=0.1)
 
@@ -253,7 +253,7 @@ def test_add_noise_bit_for_bit():
     # (which no golden output resolves) fails here
     y = np.random.default_rng(17).standard_normal((3, 56)) * (1.0 + 0.5j)
     sigma_v2 = 0.037
-    got = add_noise(y, sigma_v2, np.random.default_rng(23))
+    got = add_noise(y[None], [sigma_v2], np.random.default_rng(23))[0]
     rng = np.random.default_rng(23)
     re = rng.standard_normal(y.shape)
     im = rng.standard_normal(y.shape)
@@ -293,8 +293,8 @@ def test_add_noise_grid_without_noise_needs_no_rng():
 
 
 def test_add_noise_requires_rng():
-    with pytest.raises(ValueError):
-        add_noise(np.zeros((1, 56), dtype=complex), 0.1, None)
+    with pytest.raises(ValueError, match="rng required"):
+        add_noise(np.zeros((1, 56), dtype=complex), [0.1], None)
 
 
 def test_propagate_shape_check():

@@ -296,11 +296,11 @@ _DESK_SNR_DB = [14.0, 20.0, 24.0, 28.0, 32.0, 36.0]
 
 
 def _per_point_zf_counts(ctx, trial):
-    """Errors, bits and noisy frames per noise point of one zero-forcing
-    trial, with an ``add_noise`` call, a DFT, a detection and a bit tally
-    of its own for every noise point: the reference for the stacked noise
-    sweep in `_run_trial`.  The frames are one ``(S, K, m_cp + m)`` stack
-    per block."""
+    """Errors, bits and noisy received grids per noise point of one
+    zero-forcing trial, with an ``add_noise`` call at the DFT's per-bin
+    variance M sigma_v^2, a detection and a bit tally of its own for every
+    noise point: the reference for the stacked noise sweep in
+    `_run_trial`.  The grids are one ``(S, K, m_s)`` stack per block."""
     import sdmimo.harness as hz
 
     cfg = ctx.cfg
@@ -308,39 +308,40 @@ def _per_point_zf_counts(ctx, trial):
     chan = hz._draw_trial_channel(ctx, rng)
     errors = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
     bits = np.zeros(len(cfg.sigma_v2), dtype=np.int64)
-    frames = []
+    grids = []
     for _block in range(cfg.run.blocks_per_trial):
         symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
         result = hz._designs(ctx, chan, symbols, (0.0,))[0]
         u, _ = hz._transmit(ctx, result.x)
-        y0 = propagate(chan, u)
-        frames.append([])
+        r0 = receiver_dft(ctx.ofdm, propagate(chan, u))
+        grids.append([])
         for si, sv2 in enumerate(cfg.sigma_v2):
-            y = add_noise(y0, sv2, rng)
-            frames[-1].append(y)
-            s_hat = detect(receiver_dft(ctx.ofdm, y), ctx.ofdm.m * result.beta[:, None], ctx.const)
+            r = add_noise(r0[None], [ctx.ofdm.m * sv2], rng)[0]
+            grids[-1].append(r)
+            s_hat = detect(r, ctx.ofdm.m * result.beta[:, None], ctx.const)
             errors[si] += symbols_to_bits_errors(symbols, s_hat, ctx.const)
             bits[si] += symbols.size * 2 * ctx.const.bits_per_axis
-    return errors, bits, [np.stack(f) for f in frames]
+    return errors, bits, [np.stack(g) for g in grids]
 
 
 def _check_stacked_sweep(monkeypatch, precoder, scheme, blocks, noise):
     """Run `run_ber` on a tiny config with the noise section `noise` and
-    compare its counts, and the stacked noisy frames it hands to the DFT,
-    bit for bit with the per-point loop of `_per_point_zf_counts`."""
+    compare its counts, and the stacked noisy received grids it hands to
+    the detector, bit for bit with the per-point loop of
+    `_per_point_zf_counts`."""
     doc = _tiny_doc(precoder, scheme, trials=3, blocks_per_trial=blocks)
     doc["noise"] = noise
     cfg = config_from_dict(doc)
     stacks = []
-    dft = harness.receiver_dft
-    monkeypatch.setattr(harness, "receiver_dft",
-                        lambda ofdm, y: stacks.append(np.copy(y)) or dft(ofdm, y))
+    det = harness.detect
+    monkeypatch.setattr(harness, "detect",
+                        lambda r, beta, const: stacks.append(np.copy(r)) or det(r, beta, const))
     records = run_ber(cfg)
     ctx = build_context(cfg)
     reference = [_per_point_zf_counts(ctx, t) for t in range(cfg.run.trials)]
     assert [r.errors for r in records] == list(sum(e for e, _, _ in reference))
     assert [r.bits for r in records] == list(sum(b for _, b, _ in reference))
-    want = [stack for _, _, frames in reference for stack in frames]
+    want = [stack for _, _, grids in reference for stack in grids]
     assert len(stacks) == len(want) == cfg.run.trials * blocks
     for got, ref in zip(stacks, want):
         assert got.view(float).tobytes() == ref.view(float).tobytes()
@@ -361,7 +362,7 @@ def test_stacked_noise_sweep_matches_per_point_loop(precoder, scheme, blocks, mo
 @pytest.mark.parametrize("precoder,scheme", _ZF_CHAINS)
 def test_stacked_noise_sweep_with_noise_free_points(precoder, scheme, monkeypatch):
     # noise-free points first, in the middle and last draw nothing and keep
-    # their frames; the noisy ones around them see the per-point stream
+    # their grids; the noisy ones around them see the per-point stream
     grid = [10.0 ** (-snr / 10.0) for snr in _DESK_SNR_DB]
     _check_stacked_sweep(monkeypatch, precoder, scheme, 2,
                          {"sigma_v2": [0.0, *grid[:3], 0.0, *grid[3:], 0.0]})
@@ -380,6 +381,114 @@ def test_single_snr_run_matches_first_point_of_sweep(precoder, scheme):
     assert (alone.errors, alone.bits, alone.mean_beta) == (first.errors, first.bits,
                                                            first.mean_beta)
     assert alone.errors > 0
+
+
+def _harness_noise(seed, draws):
+    """The noise `_run_trial` adds to a received grid, one row ``(K m_s,)``
+    per block over `draws` blocks, on a tiny ``zf-tsd`` config at sigma_v^2
+    = 0.25 with seed `seed`: the blocks' received grids are 0, so the
+    detector sees the noise alone."""
+    cfg = config_from_dict({**_tiny_doc("zf-tsd", trials=1, blocks_per_trial=draws, seed=seed),
+                            "noise": {"sigma_v2": [0.25]}})
+    k, m_s = cfg.system.k, cfg.system.m_s
+    rows = []
+    det = harness.detect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_draw_trial_channel", lambda ctx, rng: None)
+        mp.setattr(harness, "_run_block", lambda ctx, chan, symbols, grid: (
+            np.zeros((1, k, m_s), dtype=complex), np.ones((1, k)), np.zeros((4, 1))))
+        mp.setattr(harness, "detect",
+                   lambda r, beta, const: rows.append(r[0].ravel()) or det(r, beta, const))
+        harness._run_trial(build_context(cfg), 0)
+    return cfg, np.array(rows)
+
+
+def _time_domain_noise(ofdm, k, sigma_v2, rng, draws):
+    """The reference receive path: i.i.d. CN(0, sigma_v2) samples on every
+    user's ``m_cp + m`` time samples, CP removal and the DFT, one row
+    ``(K m_s,)`` per draw."""
+    shape = (draws, k, ofdm.m_cp + ofdm.m)
+    w = math.sqrt(sigma_v2 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return receiver_dft(ofdm, w).reshape(draws, -1)
+
+
+def _noise_deviations(seed, draws=2000):
+    """How far the harness's and the reference's receive noise are from
+    i.i.d. CN(0, M sigma_v^2) over bins and users, and from each other:
+    second moments in units of M sigma_v^2, over `draws` draws each."""
+    cfg, freq = _harness_noise(seed, draws)
+    ofdm, sigma_v2 = cfg.system.ofdm, cfg.sigma_v2[0]
+    time = _time_domain_noise(ofdm, cfg.system.k, sigma_v2, substream(seed, 1), draws)
+    level = ofdm.m * sigma_v2
+    out, covs = {}, {}
+    for name, x in (("harness", freq), ("reference", time)):
+        cov = x.T @ x.conj() / (draws * level)       # E[n_i conj(n_j)]
+        var = cov.diagonal().real
+        covs[name] = cov
+        out[name] = {"var_bin": np.max(np.abs(var - 1.0)),
+                     "var_pooled": abs(var.mean() - 1.0),
+                     "cov": np.max(np.abs(cov - np.diag(cov.diagonal()))),
+                     "pseudo_cov": np.max(np.abs(x.T @ x / (draws * level)))}  # E[n_i n_j]
+    out["var_diff"] = np.max(np.abs(covs["harness"].diagonal() - covs["reference"].diagonal()))
+    out["cov_diff"] = np.max(np.abs(covs["harness"] - covs["reference"]))
+    return out
+
+
+# 1.25 times the largest value over seeds 9000-9019, which the test below
+# does not use (2,000 draws of K m_s = 80 entries; largest seen: per-bin
+# variance 0.079, pooled variance 0.0045, cross-covariance 0.080,
+# pseudo-covariance 0.091, variance difference 0.110, covariance
+# difference 0.111), rounded up
+_NOISE_BOUNDS = {"var_bin": 0.10, "var_pooled": 0.006, "cov": 0.10, "pseudo_cov": 0.12,
+                 "var_diff": 0.14, "cov_diff": 0.14}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_receive_noise_is_the_dft_of_time_domain_noise(seed):
+    # the noise a trial adds to its received grids has per-bin variance
+    # M sigma_v^2, no correlation across bins or users, and the second
+    # moments of the DFT of CP-extended time-domain CN(0, sigma_v^2) noise
+    dev = _noise_deviations(seed)
+    for name in ("harness", "reference"):
+        for key, value in dev[name].items():
+            assert value <= _NOISE_BOUNDS[key], (name, key, value)
+    assert dev["var_diff"] <= _NOISE_BOUNDS["var_diff"]
+    assert dev["cov_diff"] <= _NOISE_BOUNDS["cov_diff"]
+
+
+def test_bit_errors_match_their_closed_form_given_the_received_grid(monkeypatch):
+    # on desk-scale zf-tsd blocks, the errors `_run_trial` counts over 200
+    # noise draws match the closed-form expectation from the noise-free
+    # received grid r0, M beta and the per-bin noise variance M sigma_v^2:
+    # |z| <= 4 wherever at least 10 errors are expected, and at most 22
+    # errors (10 + 4 sqrt(10)) elsewhere
+    from qam_oracle import expected_bits_errors
+
+    doc = json.loads((Path(__file__).parents[1] / "configs" / "ber_desk.json").read_text())
+    doc["run"].update(blocks_per_trial=1, self_check=False)
+    cfg = config_from_dict(doc)
+    ctx = build_context(cfg)
+    m, draws = ctx.ofdm.m, 200
+    checked = 0
+    for trial in range(4):
+        rng = substream(cfg.run.seed, trial)
+        chan = harness._draw_trial_channel(ctx, rng)
+        symbols = ctx.const.random_symbols(rng, (cfg.system.k, cfg.system.m_s))
+        block = harness._run_block(ctx, chan, symbols, cfg.sigma_v2)
+        r0, beta = block[0][0], block[1][0]
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_draw_trial_channel", lambda ctx, rng: chan)
+            mp.setattr(harness, "_run_block", lambda *args: block)
+            mp.setattr(type(ctx.const), "random_symbols", lambda self, rng, shape: symbols)
+            counts = sum(harness._run_trial(ctx, 1000 + i)[0] for i in range(draws))
+        for sv2, count in zip(cfg.sigma_v2, counts):
+            mean, var = expected_bits_errors(r0, m * beta[:, None], m * sv2, symbols, ctx.const.d)
+            if draws * mean >= 10:
+                checked += 1
+                assert abs(count - draws * mean) <= 4.0 * math.sqrt(draws * var), (trial, sv2)
+            else:
+                assert count <= 22, (trial, sv2, count, draws * mean)
+    assert checked >= 12
 
 
 def test_scatter_ideal_chain_hits_constellation():
@@ -494,3 +603,71 @@ def test_zf_block_with_ideal_pas_is_received_exactly(n, k_frac, seed):
     assert n_over == 0
     assert np.max(np.abs(r / scale - symbols)) <= _ZF_EXACT_TOL
     assert symbols_to_bits_errors(symbols, detect(r, scale, ctx.const), ctx.const) == 0
+
+
+def test_paired_stats_of_identical_trials_are_zero():
+    import paired_ber
+
+    base = np.random.default_rng(3).poisson(40.0, size=(50, 6))
+    stats = paired_ber.paired_stats(base, base)
+    assert np.array_equal(stats["base"], stats["head"])
+    for key in ("diff", "se", "z"):
+        assert not stats[key].any(), key
+
+
+def test_paired_stats_detect_a_known_shift():
+    import paired_ber
+
+    # per-trial differences of exactly 0 and 2 in turn: a shift of 1 a
+    # trial with a sample SD of sqrt(T / (T - 1)), so z = sqrt(T - 1)
+    t = 100
+    base = np.random.default_rng(4).poisson(30.0, size=(t, 3))
+    head = base + np.tile([[0], [2]], (t // 2, 3))
+    stats = paired_ber.paired_stats(base, head)
+    assert np.array_equal(stats["diff"], [t] * 3)
+    assert np.allclose(stats["z"], math.sqrt(t - 1), rtol=1e-12)
+    assert np.allclose(paired_ber.paired_stats(head, base)["z"], -math.sqrt(t - 1), rtol=1e-12)
+
+    # clustered counts (a gamma-distributed rate per trial) with Poisson(delta)
+    # extra errors per trial at the head: the paired SE sees only the extra
+    # errors, so z is about sqrt(T delta) = 10 (SD about 1) whatever the
+    # clustering; the columns are independent seeded replications
+    rng = np.random.default_rng(5)
+    t, delta = 400, 0.25
+    base = rng.poisson(rng.gamma(0.5, 200.0, size=(t, 8)))
+    head = base + rng.poisson(delta, size=(t, 8))
+    z = paired_ber.paired_stats(base, head)["z"]
+    assert np.all(np.abs(z - math.sqrt(t * delta)) <= 3.0), z
+
+
+def test_paired_ber_script_on_one_tree(tmp_path, monkeypatch, capsys):
+    # the same tree twice pairs every draw and differs by nothing; a trial
+    # that raised in one tree is named and left out of the pairs
+    import paired_ber
+
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({**_tiny_doc("zf-tsd", trials=3),
+                                  "noise": {"inv_sigma_v2_db": _DESK_SNR_DB[:2]}}))
+    src = Path(harness.__file__).resolve().parents[1]
+    records = []
+    real = paired_ber.record_tree
+
+    def kept(*args):
+        records.append(real(*args))
+        return records[-1]
+
+    monkeypatch.setattr(paired_ber, "record_tree", kept)
+    assert paired_ber.main([str(src), str(src), "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "zf-tsd: 3 paired trials" in out
+    assert "identical draws: channel 3/3, symbols 3/3, noise 3/3" in out
+    rows = [line.split() for line in out.splitlines()[3:]]
+    assert len(rows) == 2 and all(row[3] == "+0" and float(row[5]) == 0.0 for row in rows)
+    assert sum(records[0]["errors"][t][0] for t in range(3)) > 0
+
+    doctored = json.loads(json.dumps(records[0]))
+    doctored["errors"][1] = None
+    doctored["failures"] = ["trial 1: RankDeficient: refused"]
+    assert paired_ber.compare("zf-tsd", records[0], doctored)[:3] == [
+        "zf-tsd: 2 paired trials", "  left out, head trial 1: RankDeficient: refused",
+        "  identical draws: channel 2/2, symbols 2/2, noise 2/2"]
